@@ -64,25 +64,27 @@ impl Request {
             Some((v, r)) => (v, r.trim()),
             None => (line, ""),
         };
-        match verb.to_ascii_uppercase().as_str() {
-            "PARSE" => {
-                let req: ParseRequest =
-                    serde_json::from_str(rest).map_err(|e| format!("bad PARSE payload: {e}"))?;
-                if req.domain.trim().is_empty() {
-                    return Err("bad PARSE payload: empty domain".into());
-                }
-                Ok(Request::Parse(req))
+        let is = |name: &str| verb.eq_ignore_ascii_case(name);
+        if is("PARSE") {
+            let req: ParseRequest =
+                serde_json::from_str(rest).map_err(|e| format!("bad PARSE payload: {e}"))?;
+            if req.domain.trim().is_empty() {
+                return Err("bad PARSE payload: empty domain".into());
             }
-            "FETCH" => {
-                if rest.is_empty() {
-                    return Err("FETCH requires a domain".into());
-                }
-                Ok(Request::Fetch(rest.to_string()))
+            Ok(Request::Parse(req))
+        } else if is("FETCH") {
+            if rest.is_empty() {
+                return Err("FETCH requires a domain".into());
             }
-            "STATS" => Ok(Request::Stats),
-            "HEALTH" => Ok(Request::Health),
-            "RETRAIN" => Ok(Request::Retrain),
-            other => Err(format!("unknown verb: {other}")),
+            Ok(Request::Fetch(rest.to_string()))
+        } else if is("STATS") {
+            Ok(Request::Stats)
+        } else if is("HEALTH") {
+            Ok(Request::Health)
+        } else if is("RETRAIN") {
+            Ok(Request::Retrain)
+        } else {
+            Err(format!("unknown verb: {}", verb.to_ascii_uppercase()))
         }
     }
 
@@ -258,7 +260,14 @@ mod tests {
         assert!(Request::decode("PARSE not json").is_err());
         assert!(Request::decode("PARSE {\"domain\":\"\",\"text\":\"x\"}").is_err());
         assert!(Request::decode("FETCH").is_err());
-        assert!(Request::decode("EXPLODE now").is_err());
+        // Verbs match in any case without a copy; the error still
+        // names the verb upper-cased.
+        assert!(matches!(Request::decode("hEaLtH"), Ok(Request::Health)));
+        assert_eq!(
+            Request::decode("explode now").unwrap_err(),
+            "unknown verb: EXPLODE"
+        );
+        assert!(Request::decode("PARSÉ {}").is_err());
     }
 
     #[test]

@@ -22,11 +22,15 @@
 //!   list are compaction leftovers and are deleted on (writable) open.
 //! - Sealed segments are immutable and memory-mapped; at most one
 //!   *active* segment (created lazily, re-created after each seal)
-//!   accepts appends, mirrored in an in-memory tail so reads never
-//!   touch the file being written. The active segment is sealed — and
-//!   its tail mirror dropped — once it reaches a size threshold, so the
-//!   writer's heap holds at most one segment's worth of the cold tier
-//!   no matter how large the store grows.
+//!   accepts appends. The store keeps no copy of it: a read of a
+//!   just-written entry is one positioned read of the file at the
+//!   indexed location. That is sound because appends and reads both
+//!   run under the store lock and the index only ever points at a
+//!   frame whose `write_all` has returned, so a read never sees a
+//!   frame mid-write. The active segment is sealed and mapped once it
+//!   reaches a size threshold, which keeps any one file mappable in a
+//!   piece and lets compaction treat everything but the tail as
+//!   immutable.
 //! - A crash mid-append tears at most the final frame of the active
 //!   segment; open truncates back to the last whole frame, so every
 //!   acknowledged (`put_*` returned `Ok`) entry survives.
@@ -47,6 +51,7 @@ use crate::key::raw_key;
 use crate::segment::{self, EntryKind, Segment, MAGIC};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions, TryLockError};
 use std::io::{self, Write};
@@ -67,9 +72,8 @@ const ENTRY_OVERHEAD: u64 = (FRAME_HEADER + 1 + 8 + 8 + 4 + 4) as u64;
 const COMPACT_DEAD_FLOOR: u64 = 256 << 10;
 /// ...and they are at least this fraction of the store (1/2).
 const COMPACT_DEAD_RATIO: u64 = 2;
-/// Seal the active segment (drop its heap mirror, remap read-only)
-/// once it reaches this size, bounding writer RAM on spill-heavy
-/// workloads that never trigger compaction.
+/// Seal the active segment (fsync, map read-only) once it reaches this
+/// size.
 const DEFAULT_SEAL_BYTES: u64 = 16 << 20;
 
 /// On-disk manifest (JSON, swapped atomically).
@@ -107,10 +111,12 @@ struct Loc {
 /// The active (append-only) segment of this process run.
 struct Active {
     id: u64,
+    /// Opened for append and read: appends go to the end whatever was
+    /// read in between.
     file: File,
-    /// In-memory mirror of the file (magic + frames) so reads of
-    /// just-written entries never touch the file mid-append.
-    tail: Vec<u8>,
+    /// Bytes written so far (magic + whole frames): the next frame's
+    /// offset.
+    len: u64,
 }
 
 struct Inner {
@@ -137,19 +143,35 @@ impl Inner {
         self.total_bytes.saturating_sub(self.live_bytes + overhead)
     }
 
-    fn segment_bytes(&self, id: u64) -> Option<&[u8]> {
-        if let Some(active) = &self.active {
-            if active.id == id {
-                return Some(&active.tail);
+    /// The bytes of segment `id` from `off`, `len` of them (`None` =
+    /// to the end): borrowed from the mapping of a sealed segment, read
+    /// from the file of the active one.
+    fn segment_bytes(&self, id: u64, off: u64, len: Option<u64>) -> Option<Cow<'_, [u8]>> {
+        let start = usize::try_from(off).ok()?;
+        match &self.active {
+            Some(active) if active.id == id => {
+                let len = len.unwrap_or(active.len.checked_sub(off)?);
+                let mut buf = vec![0; usize::try_from(len).ok()?];
+                read_exact_at(&active.file, &mut buf, off).ok()?;
+                Some(Cow::Owned(buf))
+            }
+            _ => {
+                let bytes = self.sealed.iter().find(|s| s.id == id)?.bytes();
+                let end = match len {
+                    Some(len) => start.checked_add(usize::try_from(len).ok()?)?,
+                    None => bytes.len(),
+                };
+                bytes.get(start..end).map(Cow::Borrowed)
             }
         }
-        self.sealed.iter().find(|s| s.id == id).map(|s| s.bytes())
     }
 
-    fn read_loc(&self, loc: Loc) -> Option<segment::EntryRef<'_>> {
-        let bytes = self.segment_bytes(loc.seg)?;
-        let (payload, _) = crate::frame::decode_frame(bytes.get(loc.off as usize..)?)?;
-        segment::decode_entry(payload)
+    /// Decode the entry at `loc` and hand it to `f`; `None` if the
+    /// frame is unreadable or fails its CRC.
+    fn with_entry<R>(&self, loc: Loc, f: impl FnOnce(segment::EntryRef<'_>) -> R) -> Option<R> {
+        let frame = self.segment_bytes(loc.seg, loc.off, Some(loc.frame_len))?;
+        let (payload, _) = crate::frame::decode_frame(&frame)?;
+        segment::decode_entry(payload).map(f)
     }
 }
 
@@ -432,10 +454,9 @@ impl RecordStore {
         let key = raw_key(&lower);
         let mut inner = self.inner.lock();
         if let Some(&loc) = inner.raw.get(&key) {
-            if let Some(entry) = inner.read_loc(loc) {
-                if entry.domain == lower && entry.value == body {
-                    return Ok(false);
-                }
+            let same = inner.with_entry(loc, |e| e.domain == lower && e.value == body);
+            if same == Some(true) {
+                return Ok(false);
             }
         }
         let loc = self.append_entry(&mut inner, EntryKind::Raw, 0, key, &lower, body)?;
@@ -452,7 +473,7 @@ impl RecordStore {
         let inner = self.inner.lock();
         let key = parsed_key(inner.manifest.generation, body_key);
         let loc = *inner.parsed.get(&key)?;
-        inner.read_loc(loc).map(|e| e.value.to_string())
+        inner.with_entry(loc, |e| e.value.to_string())
     }
 
     /// Fetch the stored raw record body for `domain`, verifying the
@@ -461,8 +482,9 @@ impl RecordStore {
         let lower = domain.to_lowercase();
         let inner = self.inner.lock();
         let loc = *inner.raw.get(&raw_key(&lower))?;
-        let entry = inner.read_loc(loc)?;
-        (entry.domain == lower).then(|| entry.value.to_string())
+        inner
+            .with_entry(loc, |e| (e.domain == lower).then(|| e.value.to_string()))
+            .flatten()
     }
 
     /// Advance the persistent generation (a model swap): every stored
@@ -686,7 +708,7 @@ impl RecordStore {
         inner.sealed.retain(|s| !snap_set.contains(&s.id));
         inner.sealed.insert(0, new_seg);
         inner.total_bytes = inner.sealed.iter().map(|s| s.len()).sum::<u64>()
-            + inner.active.as_ref().map_or(0, |a| a.tail.len() as u64);
+            + inner.active.as_ref().map_or(0, |a| a.len);
         inner.live_bytes = inner.parsed.values().map(|l| l.frame_len).sum::<u64>()
             + inner.raw.values().map(|l| l.frame_len).sum::<u64>();
 
@@ -708,27 +730,25 @@ impl RecordStore {
         let mut bytes_scanned = 0u64;
         let mut torn_bytes = 0u64;
         for &id in &inner.manifest.segments {
-            if let Some(bytes) = inner.segment_bytes(id) {
+            if let Some(bytes) = inner.segment_bytes(id, 0, None) {
                 bytes_scanned += bytes.len() as u64;
-                let (found, torn) = segment::scan_bytes(bytes);
+                let (found, torn) = segment::scan_bytes(&bytes);
                 entries += found.len() as u64;
                 torn_bytes += torn;
             }
         }
         let mut index_mismatches = 0u64;
         for (&key, &loc) in &inner.parsed {
-            let ok = inner.read_loc(loc).is_some_and(|e| {
+            let ok = inner.with_entry(loc, |e| {
                 e.kind == EntryKind::Parsed && parsed_key(e.generation, e.key) == key
             });
-            if !ok {
+            if ok != Some(true) {
                 index_mismatches += 1;
             }
         }
         for (&key, &loc) in &inner.raw {
-            let ok = inner
-                .read_loc(loc)
-                .is_some_and(|e| e.kind == EntryKind::Raw && e.key == key);
-            if !ok {
+            let ok = inner.with_entry(loc, |e| e.kind == EntryKind::Raw && e.key == key);
+            if ok != Some(true) {
                 index_mismatches += 1;
             }
         }
@@ -770,9 +790,9 @@ impl RecordStore {
         Ok(())
     }
 
-    /// Seal the active segment: fsync it, drop the heap tail mirror,
-    /// and remap it read-only alongside the other sealed segments. The
-    /// next append starts a fresh active segment.
+    /// Seal the active segment: fsync it and map it read-only alongside
+    /// the other sealed segments. The next append starts a fresh active
+    /// segment.
     fn seal_active(&self, inner: &mut Inner) -> io::Result<()> {
         match &inner.active {
             Some(active) => active.file.sync_data()?,
@@ -815,7 +835,8 @@ impl RecordStore {
             let id = inner.manifest.next_segment;
             let path = self.dir.join(segment::file_name(id));
             let mut file = OpenOptions::new()
-                .write(true)
+                .read(true)
+                .append(true)
                 .create_new(true)
                 .open(&path)?;
             file.write_all(MAGIC)?;
@@ -833,25 +854,32 @@ impl RecordStore {
             inner.active = Some(Active {
                 id,
                 file,
-                tail: MAGIC.to_vec(),
+                len: MAGIC.len() as u64,
             });
         }
         let sync = self.sync;
         let active = inner.active.as_mut().unwrap();
         let framed = segment::frame_entry(kind, generation, key, domain, value);
-        let off = active.tail.len() as u64;
-        active.file.write_all(&framed)?;
+        if let Err(e) = active.file.write_all(&framed) {
+            // Cut a partial frame back off so the file stays exactly
+            // `len` bytes of whole frames: later frames' offsets, and
+            // the next open's scan, depend on it.
+            let _ = active.file.set_len(active.len);
+            return Err(e);
+        }
         active.file.flush()?;
         if sync {
             active.file.sync_data()?;
         }
-        active.tail.extend_from_slice(&framed);
+        // Only a frame that is wholly in the file gets a location, so
+        // the index never points at bytes a read could find half-written.
         let loc = Loc {
             seg: active.id,
-            off,
+            off: active.len,
             frame_len: framed.len() as u64,
         };
-        let full = active.tail.len() as u64 >= self.seal_bytes;
+        active.len += loc.frame_len;
+        let full = active.len >= self.seal_bytes;
         inner.total_bytes += framed.len() as u64;
         if full {
             self.seal_active(inner)?;
@@ -879,6 +907,27 @@ fn acquire_write_lock(dir: &Path) -> io::Result<File> {
         )),
         Err(TryLockError::Error(e)) => Err(e),
     }
+}
+
+/// Fill `buf` from `file` at `off` without moving the file's cursor.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, off)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut off: u64) -> io::Result<()> {
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, off)? {
+            0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+            n => {
+                buf = &mut buf[n..];
+                off += n as u64;
+            }
+        }
+    }
+    Ok(())
 }
 
 fn check_format(manifest: &Manifest) -> io::Result<()> {
@@ -1299,6 +1348,76 @@ mod tests {
         assert_eq!(store.stats().segments, 1);
         assert_eq!(store.get_raw("d0.com").as_deref(), Some(body.as_str()));
         assert_eq!(store.get_raw("d39.com").as_deref(), Some(body.as_str()));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn just_written_entries_read_back_across_seals_and_a_reopen() {
+        let dir = tmp_dir("interleave");
+        // Sizes that put frames on both sides of every seal, with
+        // multibyte text so a misplaced offset cannot decode.
+        let raw = |i: usize| {
+            format!(
+                "Domain Name: d{i}.com\nRegistrant: Zoë №{i}\n{}",
+                "r".repeat(i * 37 % 900)
+            )
+        };
+        let reply = |i: usize| {
+            format!(
+                "{{\"ok\":true,\"n\":{i},\"pad\":\"{}\"}}",
+                "p".repeat(i * 53 % 700)
+            )
+        };
+        let key = |i: usize| cache_key(0, &format!("d{i}.com"), &raw(i));
+        let check = |store: &RecordStore, upto: usize| {
+            for j in 0..upto {
+                assert_eq!(
+                    store.get_raw(&format!("D{j}.com")),
+                    Some(raw(j)),
+                    "raw {j} of {upto}"
+                );
+                assert_eq!(
+                    store.get_parsed(key(j)),
+                    Some(reply(j)),
+                    "parsed {j} of {upto}"
+                );
+            }
+        };
+        let open = || {
+            RecordStore::open_for_model(&dir, "m1", 0, false)
+                .unwrap()
+                .with_seal_bytes(8 << 10)
+        };
+        let store = open();
+        for i in 0..60 {
+            assert!(store.put_raw(&format!("d{i}.com"), &raw(i)).unwrap());
+            assert_eq!(store.get_raw(&format!("d{i}.com")), Some(raw(i)));
+            assert!(store.put_parsed(key(i), &reply(i)).unwrap());
+            assert_eq!(store.get_parsed(key(i)), Some(reply(i)));
+            // The identical body is recognised from the active segment too.
+            assert!(!store.put_raw(&format!("d{i}.com"), &raw(i)).unwrap());
+            if i % 10 == 9 {
+                check(&store, i + 1);
+            }
+        }
+        let stats = store.stats();
+        assert!(stats.segments > 2, "seals must have happened: {stats:?}");
+        assert!(store.verify().ok());
+        store.sync().unwrap();
+        drop(store);
+
+        let store = open();
+        assert_eq!(store.stats().last_recovery_truncated, 0);
+        check(&store, 60);
+        // Appends after the reopen land in a fresh active segment and
+        // read back beside everything recovered from the sealed ones.
+        for i in 60..90 {
+            assert!(store.put_raw(&format!("d{i}.com"), &raw(i)).unwrap());
+            assert!(store.put_parsed(key(i), &reply(i)).unwrap());
+            assert_eq!(store.get_parsed(key(i)), Some(reply(i)));
+        }
+        check(&store, 90);
+        assert!(store.verify().ok());
         fs::remove_dir_all(&dir).unwrap();
     }
 
