@@ -15,7 +15,7 @@
 //! Two implementations live here:
 //!
 //! * [`Objective`] — the production path, backed by
-//!   [`TrainEngine`](crate::engine::TrainEngine): persistent workers,
+//!   [`TrainEngine`]: persistent workers,
 //!   pooled scratch buffers, unique-line dedup, and observed counts
 //!   precomputed once. Steady-state evaluations are allocation-free.
 //! * [`NaiveObjective`] — the transparent reference implementation

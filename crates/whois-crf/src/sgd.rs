@@ -1,6 +1,6 @@
 //! Stochastic gradient descent trainer.
 //!
-//! The paper's authors "implemented [their] own model, with a specialized
+//! The paper's authors "implemented \[their\] own model, with a specialized
 //! feature extraction pipeline and optimization routines such as stochastic
 //! gradient descent". This SGD exploits the sparsity of per-record
 //! gradients: only the features active in the current record (plus the

@@ -13,9 +13,9 @@
 //! * [`style`] — a data-driven template language: a registrar's record
 //!   format is a list of [`style::Element`]s (banner, titled field,
 //!   contact block, boilerplate, ...) rendered with a per-family
-//!   [`style::FormatStyle`] (separator, casing, indentation, blank-line
-//!   policy). Every rendered line carries its gold [`BlockLabel`] (and
-//!   [`RegistrantLabel`] inside registrant blocks).
+//!   format style (separator, casing, indentation, blank-line
+//!   policy). Every rendered line carries its gold `BlockLabel` (and
+//!   `RegistrantLabel` inside registrant blocks).
 //! * [`families`] — 40+ concrete `.com` registrar template families built
 //!   on the style language, from modern ICANN-uniform layouts to legacy
 //!   label-free blocks.

@@ -1,4 +1,4 @@
-//! Reusable read buffers for the event-loop servers.
+//! Reusable read buffers for the event driver.
 //!
 //! Every live connection owns one `BytesMut` accumulation buffer while
 //! it is being served. Connections churn (a WHOIS exchange is one line

@@ -1,24 +1,23 @@
-//! Per-connection state for the event-loop servers.
+//! Per-connection state for the event driver.
 //!
 //! An [`EventConn`] is the nonblocking shell around one accepted
 //! socket: a pooled read-accumulation buffer, a queue of reply chunks
 //! flushed with vectored writes, an explicit phase in the serving state
-//! machine, and the activity timestamps the idle-deadline (slowloris)
-//! guard needs. Protocol logic stays with the owning server — the shell
-//! only moves bytes:
+//! machine, and the one deadline the driver's sweep looks at. Protocol
+//! logic stays with the [`Handler`](crate::serving::Handler) — the shell
+//! only moves bytes, and the driver in [`crate::serving`] moves it
+//! between phases on the handler's [`Step`](crate::serving::Step):
 //!
 //! ```text
-//!           ┌────────── fill() drains socket → buf ──────────┐
-//!           ▼                                                │
-//!        Reading ──complete line──► (server decodes/queues) ─┤
-//!           ▲                                                ▼
-//!           │                                             Queued      (a worker owns the request)
-//!           │                                                │ reply
-//!        flush() == drained                                  ▼
-//!           └─────────────────────────────────────────── Writing
-//!                                                            │ close_after_flush
-//!                                                            ▼
-//!                                                        Draining → deregister + close
+//!    ┌──────── fill() drains socket → buf ────────┐
+//!    ▼                                            │
+//! Reading ──Continue──► (handler decodes, queues) ┤
+//!    ▲                                            ├─Park…──► Queued (a deadline or a
+//!    │                                            │             │   completion resumes it)
+//!    └────────────────── Continue ────────────────┼─────────────┘
+//!                                                 │ Finish, or Continue after the
+//!                                                 ▼ peer closed its sending side
+//!                                             Draining ──flushed──► deregister + close
 //! ```
 //!
 //! Reply chunks are reference-counted where the caller already has an
@@ -36,16 +35,13 @@ use std::time::Instant;
 /// Where a connection is in its serving lifecycle.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum ConnPhase {
-    /// Accumulating request bytes; no request outstanding.
+    /// Accumulating request bytes; no request outstanding. Replies to
+    /// earlier requests may still be flushing.
     Reading,
-    /// A decoded request is on the worker queue; its reply will arrive
-    /// through the completion channel.
+    /// Parked: the handler is waiting for a deadline (a fault stall) or
+    /// for a completion (a request on the worker queue). No reads.
     Queued,
-    /// Unflushed reply bytes are queued on the socket.
-    Writing,
-    /// Final flush before close (`close_after_flush` connections that
-    /// have emptied their queue but may still need the shutdown
-    /// handshake observed).
+    /// Final flush before close. No reads.
     Draining,
 }
 
@@ -62,7 +58,7 @@ pub enum Chunk {
 }
 
 impl Chunk {
-    fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match self {
             Chunk::Shared(s) => s.as_bytes(),
             Chunk::Owned(b) => b,
@@ -102,6 +98,9 @@ pub struct EventConn {
     pub deadline: Option<Instant>,
     /// Close once the write queue drains.
     pub close_after_flush: bool,
+    /// [`fill`](Self::fill) read EOF: the peer will send nothing more,
+    /// so the read side is never polled again.
+    pub read_closed: bool,
     out: VecDeque<Chunk>,
     /// Bytes of `out[0]` already written.
     head_written: usize,
@@ -122,6 +121,7 @@ impl EventConn {
             buf,
             deadline: None,
             close_after_flush: false,
+            read_closed: false,
             out: VecDeque::new(),
             head_written: 0,
             out_bytes: 0,
@@ -136,6 +136,7 @@ impl EventConn {
             match self.stream.read(scratch) {
                 Ok(0) => {
                     status.eof = true;
+                    self.read_closed = true;
                     return Ok(status);
                 }
                 Ok(n) => {
@@ -205,10 +206,10 @@ impl EventConn {
 
     /// The poller interest this connection currently needs: writable
     /// while replies are queued, readable while the server would act on
-    /// more request bytes.
+    /// more request bytes and the peer may still send some.
     pub fn interest(&self) -> Interest {
         Interest {
-            readable: matches!(self.phase, ConnPhase::Reading),
+            readable: self.phase == ConnPhase::Reading && !self.read_closed,
             writable: !self.out.is_empty(),
             edge: false,
         }
@@ -259,6 +260,7 @@ mod tests {
         let s = conn.fill(&mut scratch).unwrap();
         assert_eq!(s.bytes, 3);
         assert!(s.eof, "EOF is reported after the final bytes");
+        assert!(!conn.interest().readable, "no reads after EOF");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `Whois Server:` referral, and then queries that server for the thick
 //! record. Rate limits are "rarely published publicly", so the crawler
 //! infers them: it tracks its query pacing per server, and "when a given
-//! server stops responding with valid data, [it] infer[s] that [the]
+//! server stops responding with valid data, \[it\] infer\[s\] that \[the\]
 //! query rate was the culprit", records the limit, and subsequently
 //! queries well under it (multiplicative back-off on the per-server
 //! inter-query delay). Every query is retried up to three times before
@@ -40,7 +40,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whois_store::RecordStore;
+use whois_store::{Fnv, RecordStore};
 
 /// Crawler configuration.
 #[derive(Clone, Debug)]
@@ -221,11 +221,9 @@ impl CrawlReport {
     /// tests assert.
     pub fn canonical_summary(&self) -> String {
         fn fnv(s: Option<&str>) -> u64 {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for b in s.unwrap_or("\u{0}none").as_bytes() {
-                h = (h ^ *b as u64).wrapping_mul(0x1000_0000_01b3);
-            }
-            h
+            let mut h = Fnv::new();
+            h.write(s.unwrap_or("\u{0}none").as_bytes());
+            h.finish()
         }
         let mut lines: Vec<String> = self
             .results

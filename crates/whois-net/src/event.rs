@@ -1,12 +1,13 @@
 //! The readiness core: an epoll-backed poller and a cross-thread waker.
 //!
-//! Both serving surfaces (the `whois-net` test/crawl server and the
-//! `whois-serve` parse daemon) multiplex thousands of nonblocking
-//! sockets on one acceptor thread. The kernel interface they need is
-//! tiny — register a file descriptor with a token, wait for readiness —
-//! and the vendored-deps constraint rules out `mio`/`tokio`, so the
-//! epoll surface is declared directly against the platform libc that
-//! every Rust binary already links. No crate is involved.
+//! The serving core ([`crate::serving`], which runs both the
+//! `whois-net` test/crawl server and the `whois-serve` parse daemon)
+//! multiplexes thousands of nonblocking sockets on one acceptor
+//! thread. The kernel interface it needs is tiny — register a file
+//! descriptor with a token, wait for readiness — and the vendored-deps
+//! constraint rules out `mio`/`tokio`, so the epoll surface is declared
+//! directly against the platform libc that every Rust binary already
+//! links. No crate is involved.
 //!
 //! * [`Poller`] — `epoll_create1`/`epoll_ctl`/`epoll_wait` on Linux.
 //!   Level-triggered by default (a connection with unread bytes or
@@ -34,8 +35,8 @@ use std::time::Duration;
 #[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
 
-/// Non-unix placeholder so the crate still compiles; event-loop serving
-/// modes report `Unsupported` at runtime instead.
+/// Non-unix placeholder so the crate still compiles; [`Poller::new`]
+/// reports `Unsupported` at runtime instead.
 #[cfg(not(unix))]
 pub type RawFd = i32;
 
@@ -88,9 +89,27 @@ pub struct Event {
     pub readable: bool,
     /// Writable.
     pub writable: bool,
-    /// Peer hangup or error (`EPOLLHUP`/`EPOLLERR`/`EPOLLRDHUP`): the
-    /// connection should be read to EOF / torn down.
+    /// The peer is gone (`EPOLLHUP`/`EPOLLERR`, reported whatever the
+    /// interest): nothing more can be read or delivered — tear down.
     pub hangup: bool,
+    /// The peer closed its sending side (`EPOLLRDHUP`): no more
+    /// requests will arrive, but replies still owed can be written.
+    /// Armed only together with read interest, so a registration that
+    /// has stopped reading is not woken by it again.
+    pub read_closed: bool,
+}
+
+/// The raw descriptor the poller registers `source` under.
+#[cfg(unix)]
+pub(crate) fn fd_of(source: &impl AsRawFd) -> RawFd {
+    source.as_raw_fd()
+}
+
+/// Non-unix placeholder: no [`Poller`] can exist to be handed the
+/// result, so this is never called.
+#[cfg(not(unix))]
+pub(crate) fn fd_of<T>(_source: &T) -> RawFd {
+    unreachable!("no poller exists on this platform")
 }
 
 #[cfg(target_os = "linux")]
@@ -144,9 +163,11 @@ mod sys {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut events = EPOLLRDHUP;
+        let mut events = 0;
         if interest.readable {
-            events |= EPOLLIN;
+            // Level-triggered RDHUP re-fires until the registration
+            // changes, so it is only asked for while reads are.
+            events |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             events |= EPOLLOUT;
@@ -221,7 +242,8 @@ mod sys {
                     token: data,
                     readable: events & EPOLLIN != 0,
                     writable: events & EPOLLOUT != 0,
-                    hangup: events & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                    hangup: events & (EPOLLERR | EPOLLHUP) != 0,
+                    read_closed: events & EPOLLRDHUP != 0,
                 });
             }
             Ok(n)
@@ -242,8 +264,8 @@ mod sys {
     use super::{Event, Interest};
     use std::io;
 
-    /// Stub selector: event-loop serving is Linux-only in this build;
-    /// callers fall back to the blocking path.
+    /// Stub selector: the event driver is Linux-only in this build;
+    /// the serving core falls back to its blocking driver.
     pub struct Selector;
 
     impl Selector {
@@ -284,7 +306,7 @@ pub struct Poller {
 
 impl Poller {
     /// New poller. `Err(Unsupported)` on platforms without epoll, which
-    /// the servers translate into "use blocking mode".
+    /// the serving core translates into "use the blocking driver".
     pub fn new() -> io::Result<Poller> {
         Ok(Poller {
             selector: sys::Selector::new()?,
@@ -333,10 +355,7 @@ impl Waker {
         let socket = UdpSocket::bind(("127.0.0.1", 0))?;
         socket.connect(socket.local_addr()?)?;
         socket.set_nonblocking(true)?;
-        #[cfg(unix)]
-        poller.register(socket.as_raw_fd(), token, Interest::READ)?;
-        #[cfg(not(unix))]
-        let _ = (poller, token);
+        poller.register(fd_of(&socket), token, Interest::READ)?;
         Ok(Waker { socket })
     }
 
@@ -477,12 +496,34 @@ mod tests {
     }
 
     #[test]
-    fn hangup_reported_on_peer_close() {
+    fn half_close_is_read_closed_and_full_close_is_hangup() {
         let poller = Poller::new().unwrap();
         let (a, b) = pair();
         b.set_nonblocking(true).unwrap();
         poller.register(b.as_raw_fd(), 4, Interest::READ).unwrap();
-        drop(a);
+        a.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(2)))
+            .unwrap();
+        assert!(events
+            .iter()
+            .any(|e| e.token == 4 && e.read_closed && e.readable && !e.hangup));
+
+        // Once reads are no longer asked for, the half-close stops
+        // waking the poller (it used to re-fire on every wait).
+        poller
+            .reregister(b.as_raw_fd(), 4, Interest::default())
+            .unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0, "{events:?}");
+
+        // Both directions shut: the peer is gone, reported regardless
+        // of interest.
+        b.shutdown(std::net::Shutdown::Write).unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_secs(2)))

@@ -24,6 +24,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::time::Duration;
+use whois_store::Fnv;
 
 /// Per-request fault probabilities (independent; checked in the order
 /// drop, empty, stall, truncate, non-UTF-8, ban, garble).
@@ -153,18 +154,11 @@ impl FaultPlan {
 /// FNV-1a over the request key; cheap, stable, and good enough to seed a
 /// ChaCha stream per request.
 fn request_key(seed: u64, query: &str, index: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = OFFSET;
-    for chunk in [seed, index] {
-        for b in chunk.to_le_bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    }
-    for b in query.as_bytes() {
-        h = (h ^ *b as u64).wrapping_mul(PRIME);
-    }
-    h
+    let mut h = Fnv::new();
+    h.write(&seed.to_le_bytes());
+    h.write(&index.to_le_bytes());
+    h.write(query.as_bytes());
+    h.finish()
 }
 
 /// Keyed deterministic fault roller.

@@ -12,15 +12,19 @@
 //! * [`store`] — the thin/thick split (§2.2): a registry store answering
 //!   thin records with `Whois Server:` referrals, and per-registrar
 //!   stores answering thick records.
+//! * [`serving`] — the serving core both servers run on: a [`Handler`]
+//!   contract (per-connection protocol state in, the connection's next
+//!   [`Step`] out), the event driver that multiplexes every connection
+//!   on one epoll thread, and the thread-per-connection reference
+//!   driver that runs the same handler as its differential oracle.
 //! * [`server`] — a WHOIS server binding `127.0.0.1:0`, with
-//!   configurable rate limiting and fault injection, serving either
-//!   thread-per-connection (legacy/oracle) or through the nonblocking
-//!   event loop.
-//! * [`event`] — the readiness core: an epoll-backed [`Poller`] (no
+//!   configurable rate limiting and fault injection: one query, one
+//!   reply, close, as a handler on the serving core.
+//! * [`event`] — the readiness layer: an epoll-backed [`Poller`] (no
 //!   external deps; FFI straight against the platform libc) plus a
 //!   [`Waker`] for cross-thread loop interrupts.
-//! * [`conn`] — the per-connection state machine shell: pooled read
-//!   buffers, queued reply chunks, vectored writes, idle deadlines.
+//! * [`conn`] — the event driver's per-connection shell: pooled read
+//!   buffers, queued reply chunks, vectored writes, one deadline.
 //! * [`buffer_pool`] — bounded recycling of connection read buffers.
 //! * [`fault`] — smoltcp-style fault injection: drop, empty-response,
 //!   garble, stall, truncate, non-UTF-8, and ban fates, all keyed
@@ -54,6 +58,7 @@ pub mod limiter;
 pub mod pipeline;
 pub mod proto;
 pub mod server;
+pub mod serving;
 pub mod store;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, KeyedBreaker};
@@ -66,5 +71,6 @@ pub use fault::{FateSpec, FaultConfig, FaultPlan};
 pub use journal::CrawlJournal;
 pub use limiter::{KeyedRateLimiter, RateLimitConfig, RateLimiter};
 pub use pipeline::{crawl_parse_survey, PipelineReport};
-pub use server::{ServerConfig, ServerHandle, ServingMode, ShutdownReport, WhoisServer};
+pub use server::{ServerConfig, ServerHandle, ShutdownReport, WhoisServer};
+pub use serving::{Completer, Handler, Io, Serving, ServingMode, Step};
 pub use store::{InMemoryStore, LoggingStore, RecordStore};

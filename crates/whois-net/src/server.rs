@@ -1,33 +1,31 @@
-//! A WHOIS server over loopback TCP: one protocol, two serving cores.
+//! A WHOIS server over loopback TCP: the simulator the crawler talks
+//! to, as one [`Handler`] on the shared serving core.
 //!
-//! The protocol logic — rate limiting, store lookup, fault injection —
-//! is a single pure-ish [`decide`] step shared by both cores, so the
-//! bytes a client sees are identical whichever core served it:
+//! The protocol is one query line in, one reply out, close. Every byte
+//! a client can observe is decided by a single `decide` step — rate
+//! limiting, store lookup, fault injection — and the handler around it
+//! only maps the outcome onto the core's [`Step`]s: reply and finish,
+//! close silently, or (a fault stall) park on a deadline holding the
+//! body. [`crate::serving`] does the rest, through either driver
+//! ([`ServerConfig::mode`]), which is what makes the two differentially
+//! testable.
 //!
-//! * [`ServingMode::EventLoop`] (default) — one thread multiplexing
-//!   every connection through an epoll [`Poller`]: nonblocking accept,
-//!   pooled read buffers, per-connection state machines, fault stalls
-//!   expressed as deadlines instead of sleeping threads.
-//! * [`ServingMode::Blocking`] — the legacy thread-per-connection path,
-//!   retained as the fallback for platforms without epoll and as the
-//!   differential-test oracle for the event loop.
-//!
-//! Both cores enforce the same guards: a total per-connection read
-//! deadline (a slowloris client dribbling bytes forever is closed with
-//! an explicit timeout error), and an optional per-IP concurrent
-//! connection cap checked at accept time.
+//! Two guards ride on the core's hooks: the idle clock is never
+//! restarted, so `read_timeout` is a *total* deadline from accept (a
+//! slowloris client dribbling bytes forever is closed with an explicit
+//! timeout error), and an optional per-IP concurrent connection cap is
+//! checked at accept time.
 
-use crate::buffer_pool::BufferPool;
-use crate::conn::{Chunk, ConnPhase, EventConn};
-use crate::event::Poller;
+use crate::conn::Chunk;
 use crate::fault::{Fate, FaultConfig, FaultInjector, FaultPlan};
 use crate::limiter::{KeyedRateLimiter, RateLimitConfig};
 use crate::proto;
+use crate::serving::{self, Handler, Io, Serving, ServingMode, Step};
 use crate::store::RecordStore;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::convert::Infallible;
+use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -39,22 +37,10 @@ const TIMEOUT_LINE: &[u8] = b"Error: request timed out; closing connection\r\n";
 /// Reply line for connections refused by the per-IP concurrency cap.
 const CONN_CAP_LINE: &[u8] = b"Error: too many connections; try again later\r\n";
 
-/// Which serving core handles accepted connections.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum ServingMode {
-    /// One epoll event loop multiplexing every connection on the accept
-    /// thread. Falls back to [`Blocking`](Self::Blocking) on platforms
-    /// without epoll.
-    #[default]
-    EventLoop,
-    /// Thread-per-connection with blocking I/O.
-    Blocking,
-}
-
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Which serving core runs accepted connections.
+    /// Which driver of the serving core runs accepted connections.
     pub mode: ServingMode,
     /// Rate limiting keyed per source IP, as the paper describes ("once
     /// a given source IP has issued more queries … than its limit").
@@ -134,7 +120,7 @@ pub struct ShutdownReport {
     pub aborted: u64,
 }
 
-/// State shared between the server, its handle, and connection threads.
+/// State shared between the server, its handle, and the handler.
 #[derive(Debug, Default)]
 struct Lifecycle {
     shutdown: AtomicBool,
@@ -150,7 +136,7 @@ pub struct WhoisServer {
     stats: Arc<ServerStats>,
     lifecycle: Arc<Lifecycle>,
     drain_timeout: Duration,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    serving: Serving,
 }
 
 /// Cheap handle for queries — and shutdown — against a running server.
@@ -181,86 +167,37 @@ impl ServerHandle {
     }
 }
 
-/// Decrements the active-connection gauge (and counts the connection as
-/// drained when it outlived the shutdown signal) even if the handler
-/// errors out.
-struct ConnectionGuard<'a>(&'a Lifecycle);
-
-impl Drop for ConnectionGuard<'_> {
-    fn drop(&mut self) {
-        if self.0.shutdown.load(Ordering::SeqCst) {
-            self.0.drained.fetch_add(1, Ordering::SeqCst);
-        }
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
 impl WhoisServer {
     /// Start a server for `store`.
     pub fn start<S: RecordStore>(store: S, cfg: ServerConfig) -> std::io::Result<WhoisServer> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let stats = Arc::new(ServerStats::default());
         let lifecycle = Arc::new(Lifecycle::default());
         let drain_timeout = cfg.drain_timeout;
-        let store = Arc::new(store);
+        let mode = cfg.mode;
         let limiter = match cfg.global_limit {
             Some(global) => KeyedRateLimiter::with_global_cap(cfg.rate_limit, global),
             None => KeyedRateLimiter::new(cfg.rate_limit),
         }
         .with_conn_cap(cfg.max_conns_per_ip);
-        let limiter = Arc::new(Mutex::new(limiter));
-        let injector = Arc::new(Mutex::new(FaultInjector::with_plan(
-            cfg.faults,
-            cfg.fault_seed,
-            cfg.fault_plan.clone(),
-        )));
-
-        // The event loop needs epoll; quietly fall back to the blocking
-        // core where it is unavailable.
-        let poller = match cfg.mode {
-            ServingMode::EventLoop => Poller::new().ok(),
-            ServingMode::Blocking => None,
-        };
-
-        let thread_stats = stats.clone();
-        let thread_lifecycle = lifecycle.clone();
+        let injector = FaultInjector::with_plan(cfg.faults, cfg.fault_seed, cfg.fault_plan.clone());
+        let handler = Arc::new(WhoisHandler {
+            store,
+            stats: stats.clone(),
+            lifecycle: lifecycle.clone(),
+            limiter: Mutex::new(limiter),
+            injector: Mutex::new(injector),
+            cfg,
+        });
         let name = format!("whois-server-{}", addr.port());
-        let accept_thread = if let Some(poller) = poller {
-            std::thread::Builder::new().name(name).spawn(move || {
-                run_event_loop(
-                    poller,
-                    listener,
-                    store,
-                    thread_stats,
-                    thread_lifecycle,
-                    limiter,
-                    injector,
-                    cfg,
-                );
-            })
-        } else {
-            std::thread::Builder::new().name(name).spawn(move || {
-                run_blocking_accept(
-                    listener,
-                    store,
-                    thread_stats,
-                    thread_lifecycle,
-                    limiter,
-                    injector,
-                    cfg,
-                );
-            })
-        }
-        .expect("spawn serving thread");
-
+        let serving = serving::serve(listener, handler, mode, name)?;
         Ok(WhoisServer {
             addr,
             stats,
             lifecycle,
             drain_timeout,
-            accept_thread: Some(accept_thread),
+            serving,
         })
     }
 
@@ -284,12 +221,11 @@ impl WhoisServer {
     }
 
     /// Stop accepting, drain in-flight connections (bounded by the
-    /// configured drain timeout), and report drained-vs-aborted counts.
+    /// configured drain timeout), report drained-vs-aborted counts,
+    /// then stop the driver (which closes whatever was aborted).
     pub fn shutdown(&mut self) -> ShutdownReport {
         let report = self.handle().shutdown();
-        if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
+        self.serving.stop();
         report
     }
 }
@@ -300,7 +236,7 @@ impl Drop for WhoisServer {
     }
 }
 
-/// What the protocol core decided for one complete query.
+/// What the protocol step decided for one complete query.
 enum Outcome {
     /// Write these bytes, then close.
     Reply(Vec<u8>),
@@ -310,495 +246,158 @@ enum Outcome {
     Stall(Duration, Vec<u8>),
 }
 
-/// The protocol core shared by both serving modes: rate limiting, store
-/// lookup, and fault injection for one decoded query. Every byte a
-/// client can observe is decided here, which is what makes the two
-/// cores differentially testable.
-fn decide<S: RecordStore>(
-    query: &str,
-    peer: IpAddr,
-    store: &S,
-    stats: &ServerStats,
-    limiter: &Mutex<KeyedRateLimiter<IpAddr>>,
-    injector: &Mutex<FaultInjector>,
-    cfg: &ServerConfig,
-) -> Outcome {
-    // Rate limiting, keyed on the peer's source IP.
-    if !limiter.lock().allow(&peer) {
-        stats.rate_limited.fetch_add(1, Ordering::Relaxed);
-        return if cfg.limit_replies_error {
-            Outcome::Reply(RATE_LIMIT_LINE.to_vec())
-        } else {
-            Outcome::Silent
-        };
-    }
-
-    let body = match store.lookup(query) {
-        Some(b) => {
-            stats.answered.fetch_add(1, Ordering::Relaxed);
-            b
-        }
-        None => {
-            stats.no_match.fetch_add(1, Ordering::Relaxed);
-            store.no_match(query)
-        }
-    };
-    // Decide the fate under the lock, act on it outside (a Stall must
-    // not serialize every other connection's fate roll).
-    let fate = injector.lock().fate(query, body.as_bytes());
-    match fate {
-        Fate::Deliver => Outcome::Reply(body.into_bytes()),
-        Fate::Drop | Fate::Empty => {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            Outcome::Silent
-        }
-        Fate::Garbled(bytes) | Fate::NonUtf8(bytes) | Fate::Truncated(bytes) => {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            Outcome::Reply(bytes)
-        }
-        Fate::Stall(d) => {
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            Outcome::Stall(d, body.into_bytes())
-        }
-        Fate::Banned => {
-            // A fault-injected ban behaves like the real thing: the
-            // explicit refusal, plus a limiter penalty window for the
-            // source IP when the server's config carries one.
-            stats.faulted.fetch_add(1, Ordering::Relaxed);
-            limiter
-                .lock()
-                .penalize(&peer, Instant::now(), cfg.rate_limit.penalty);
-            Outcome::Reply(RATE_LIMIT_LINE.to_vec())
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Blocking core (thread per connection).
-// ---------------------------------------------------------------------
-
-fn run_blocking_accept<S: RecordStore>(
-    listener: TcpListener,
-    store: Arc<S>,
+/// The server as the serving core sees it.
+struct WhoisHandler<S> {
+    store: S,
     stats: Arc<ServerStats>,
     lifecycle: Arc<Lifecycle>,
-    limiter: Arc<Mutex<KeyedRateLimiter<IpAddr>>>,
-    injector: Arc<Mutex<FaultInjector>>,
+    limiter: Mutex<KeyedRateLimiter<IpAddr>>,
+    injector: Mutex<FaultInjector>,
     cfg: ServerConfig,
-) {
-    while !lifecycle.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                if !limiter.lock().try_acquire_conn(&peer.ip(), Instant::now()) {
-                    stats.conn_capped.fetch_add(1, Ordering::Relaxed);
-                    if cfg.limit_replies_error {
-                        let mut stream = stream;
-                        let _ = stream.write_all(CONN_CAP_LINE);
-                    }
-                    continue;
-                }
-                lifecycle.active.fetch_add(1, Ordering::SeqCst);
-                let store = store.clone();
-                let stats = stats.clone();
-                let lifecycle = lifecycle.clone();
-                let limiter = limiter.clone();
-                let injector = injector.clone();
-                let cfg = cfg.clone();
-                std::thread::spawn(move || {
-                    let _guard = ConnectionGuard(&lifecycle);
-                    let ip = peer.ip();
-                    let _ =
-                        handle_connection(stream, ip, &*store, &stats, &limiter, &injector, &cfg);
-                    limiter.lock().release_conn(&ip);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
 }
 
-/// Close a blocking connection that exhausted its read deadline.
-fn timeout_close(stream: &mut TcpStream, stats: &ServerStats) -> std::io::Result<()> {
-    stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.write_all(TIMEOUT_LINE);
-    Ok(())
-}
-
-fn handle_connection<S: RecordStore>(
-    mut stream: TcpStream,
-    peer: IpAddr,
-    store: &S,
-    stats: &ServerStats,
-    limiter: &Mutex<KeyedRateLimiter<IpAddr>>,
-    injector: &Mutex<FaultInjector>,
-    cfg: &ServerConfig,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-
-    // Read one query line, bounded by a *total* deadline from accept:
-    // per-read timeouts alone would let a slowloris client dribble one
-    // byte per window forever.
-    let started = Instant::now();
-    let mut buf = BytesMut::with_capacity(256);
-    let mut chunk = [0u8; 256];
-    let query = loop {
-        match proto::decode_query(&mut buf) {
-            Ok(Some(q)) => break q,
-            Ok(None) => {}
-            Err(_) => return Ok(()), // malformed: hang up
-        }
-        let remaining = match cfg.read_timeout.checked_sub(started.elapsed()) {
-            Some(r) if !r.is_zero() => r,
-            _ => return timeout_close(&mut stream, stats),
-        };
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // client went away mid-query
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return timeout_close(&mut stream, stats)
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    match decide(&query, peer, store, stats, limiter, injector, cfg) {
-        Outcome::Reply(bytes) => stream.write_all(&bytes)?,
-        Outcome::Silent => {}
-        Outcome::Stall(d, body) => {
-            std::thread::sleep(d);
-            stream.write_all(&body)?;
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Event-loop core (one thread, epoll readiness).
-// ---------------------------------------------------------------------
-
-/// Per-connection state carried by the event loop on top of the
-/// [`EventConn`] shell.
-#[cfg(unix)]
-struct EvConn {
-    shell: EventConn,
+/// One connection's protocol state.
+struct WhoisConn {
     ip: IpAddr,
-    /// A fault-stalled reply waiting for `shell.deadline` to fire.
+    /// A fault-stalled reply waiting for its deadline to fire.
     stalled: Option<Vec<u8>>,
-    /// The interest currently registered with the poller.
-    registered: crate::event::Interest,
 }
 
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn run_event_loop<S: RecordStore>(
-    poller: Poller,
-    listener: TcpListener,
-    store: Arc<S>,
-    stats: Arc<ServerStats>,
-    lifecycle: Arc<Lifecycle>,
-    limiter: Arc<Mutex<KeyedRateLimiter<IpAddr>>>,
-    injector: Arc<Mutex<FaultInjector>>,
-    cfg: ServerConfig,
-) {
-    use std::collections::HashMap;
-    use std::os::unix::io::AsRawFd;
-
-    const LISTENER: u64 = 0;
-    /// Idle poll cap so the shutdown flag is noticed promptly.
-    const POLL_CAP: Duration = Duration::from_millis(5);
-    /// Grace past the drain window before stragglers are abandoned, so
-    /// the shutdown report is taken from untouched gauges first.
-    const ABANDON_SLACK: Duration = Duration::from_millis(50);
-
-    if poller
-        .register(listener.as_raw_fd(), LISTENER, crate::event::Interest::READ)
-        .is_err()
-    {
-        return;
-    }
-    let pool = BufferPool::new(1024, 256);
-    let mut conns: HashMap<u64, EvConn> = HashMap::new();
-    let mut next_token: u64 = 2;
-    let mut events: Vec<crate::event::Event> = Vec::new();
-    let mut scratch = vec![0u8; 4096];
-    let mut shutdown_at: Option<Instant> = None;
-    let mut listening = true;
-
-    loop {
-        let now = Instant::now();
-        if lifecycle.shutdown.load(Ordering::SeqCst) {
-            let at = *shutdown_at.get_or_insert(now);
-            if listening {
-                let _ = poller.deregister(listener.as_raw_fd());
-                listening = false;
-            }
-            if conns.is_empty() {
-                break;
-            }
-            if now >= at + cfg.drain_timeout + ABANDON_SLACK {
-                // Stragglers past the drain window are abandoned: the
-                // shutdown report already counted them as aborted, so
-                // they close without touching the drained gauge.
-                for (_, mut c) in conns.drain() {
-                    let _ = poller.deregister(c.shell.stream.as_raw_fd());
-                    limiter.lock().release_conn(&c.ip);
-                    pool.put(c.shell.take_buf());
-                    lifecycle.active.fetch_sub(1, Ordering::SeqCst);
-                }
-                break;
-            }
-        }
-
-        let mut timeout = POLL_CAP;
-        for c in conns.values() {
-            if let Some(d) = c.shell.deadline {
-                timeout = timeout.min(d.saturating_duration_since(now));
-            }
-        }
-        events.clear();
-        if poller.wait(&mut events, Some(timeout)).is_err() {
-            break;
-        }
-
-        for ev in events.iter().copied() {
-            if ev.token == LISTENER {
-                if listening {
-                    accept_burst(
-                        &poller,
-                        &listener,
-                        &pool,
-                        &limiter,
-                        &stats,
-                        &lifecycle,
-                        &cfg,
-                        &mut conns,
-                        &mut next_token,
-                    );
-                }
-                continue;
-            }
-            let (close, fd, reregister) = {
-                let Some(c) = conns.get_mut(&ev.token) else {
-                    continue; // closed earlier in this batch
-                };
-                let mut close = false;
-                if (ev.readable || ev.hangup) && c.shell.phase == ConnPhase::Reading {
-                    match c.shell.fill(&mut scratch) {
-                        Ok(status) => match proto::decode_query(&mut c.shell.buf) {
-                            Ok(Some(query)) => {
-                                let outcome = decide(
-                                    &query, c.ip, &*store, &stats, &limiter, &injector, &cfg,
-                                );
-                                apply_outcome(c, outcome, &mut close);
-                            }
-                            Ok(None) => {
-                                if status.eof {
-                                    close = true; // gone mid-query
-                                }
-                            }
-                            Err(_) => close = true, // malformed: hang up
-                        },
-                        Err(_) => close = true,
-                    }
-                } else if ev.hangup
-                    && c.shell.phase != ConnPhase::Writing
-                    && c.shell.pending_out() == 0
-                {
-                    // Peer went away while we owe it nothing.
-                    close = true;
-                }
-                if !close && c.shell.phase == ConnPhase::Writing {
-                    match c.shell.flush() {
-                        Ok(true) => close = c.shell.close_after_flush,
-                        Ok(false) => {}
-                        Err(_) => close = true,
-                    }
-                }
-                let fd = c.shell.stream.as_raw_fd();
-                let want = c.shell.interest();
-                let changed = !close && want != c.registered;
-                if changed {
-                    c.registered = want;
-                }
-                (close, fd, changed.then_some(want))
+impl<S: RecordStore> WhoisHandler<S> {
+    /// The protocol step: rate limiting, store lookup, and fault
+    /// injection for one decoded query. Every byte a client can observe
+    /// is decided here.
+    fn decide(&self, query: &str, peer: IpAddr) -> Outcome {
+        let stats = &*self.stats;
+        // Rate limiting, keyed on the peer's source IP.
+        if !self.limiter.lock().allow(&peer) {
+            stats.rate_limited.fetch_add(1, Ordering::Relaxed);
+            return if self.cfg.limit_replies_error {
+                Outcome::Reply(RATE_LIMIT_LINE.to_vec())
+            } else {
+                Outcome::Silent
             };
-            if close {
-                close_conn(
-                    &poller,
-                    &pool,
-                    &limiter,
-                    &lifecycle,
-                    conns.remove(&ev.token),
-                );
-            } else if let Some(want) = reregister {
-                let _ = poller.reregister(fd, ev.token, want);
-            }
         }
 
-        // Deadline sweep: fault stalls fire their held reply; read
-        // deadlines close slowloris connections with an explicit error.
-        let now = Instant::now();
-        let due: Vec<u64> = conns
-            .iter()
-            .filter(|(_, c)| c.shell.deadline.is_some_and(|d| d <= now))
-            .map(|(t, _)| *t)
-            .collect();
-        for token in due {
-            let (close, fd, reregister) = {
-                let c = conns.get_mut(&token).expect("due token is live");
-                c.shell.deadline = None;
-                if let Some(body) = c.stalled.take() {
-                    c.shell.queue(Chunk::Owned(Bytes::from(body)));
-                } else {
-                    stats.idle_closed.fetch_add(1, Ordering::Relaxed);
-                    c.shell.queue(Chunk::Static(TIMEOUT_LINE));
-                }
-                c.shell.close_after_flush = true;
-                c.shell.phase = ConnPhase::Writing;
-                // done + close_after_flush → close; write error → close
-                let close = c.shell.flush().unwrap_or(true);
-                let fd = c.shell.stream.as_raw_fd();
-                let want = c.shell.interest();
-                let changed = !close && want != c.registered;
-                if changed {
-                    c.registered = want;
-                }
-                (close, fd, changed.then_some(want))
-            };
-            if close {
-                close_conn(&poller, &pool, &limiter, &lifecycle, conns.remove(&token));
-            } else if let Some(want) = reregister {
-                let _ = poller.reregister(fd, token, want);
+        let body = match self.store.lookup(query) {
+            Some(b) => {
+                stats.answered.fetch_add(1, Ordering::Relaxed);
+                b
+            }
+            None => {
+                stats.no_match.fetch_add(1, Ordering::Relaxed);
+                self.store.no_match(query)
+            }
+        };
+        // Decide the fate under the lock, act on it outside (a Stall must
+        // not serialize every other connection's fate roll).
+        let fate = self.injector.lock().fate(query, body.as_bytes());
+        match fate {
+            Fate::Deliver => Outcome::Reply(body.into_bytes()),
+            Fate::Drop | Fate::Empty => {
+                stats.faulted.fetch_add(1, Ordering::Relaxed);
+                Outcome::Silent
+            }
+            Fate::Garbled(bytes) | Fate::NonUtf8(bytes) | Fate::Truncated(bytes) => {
+                stats.faulted.fetch_add(1, Ordering::Relaxed);
+                Outcome::Reply(bytes)
+            }
+            Fate::Stall(d) => {
+                stats.faulted.fetch_add(1, Ordering::Relaxed);
+                Outcome::Stall(d, body.into_bytes())
+            }
+            Fate::Banned => {
+                // A fault-injected ban behaves like the real thing: the
+                // explicit refusal, plus a limiter penalty window for the
+                // source IP when the server's config carries one.
+                stats.faulted.fetch_add(1, Ordering::Relaxed);
+                self.limiter
+                    .lock()
+                    .penalize(&peer, Instant::now(), self.cfg.rate_limit.penalty);
+                Outcome::Reply(RATE_LIMIT_LINE.to_vec())
             }
         }
     }
 }
 
-/// Queue the decided outcome onto the connection's state machine.
-#[cfg(unix)]
-fn apply_outcome(c: &mut EvConn, outcome: Outcome, close: &mut bool) {
-    match outcome {
-        Outcome::Reply(bytes) => {
-            c.shell.queue(Chunk::Owned(Bytes::from(bytes)));
-            c.shell.close_after_flush = true;
-            c.shell.phase = ConnPhase::Writing;
-            c.shell.deadline = None;
-        }
-        Outcome::Silent => *close = true,
-        Outcome::Stall(d, body) => {
-            // The blocking core sleeps a thread here; the event loop
-            // holds the body and arms a deadline instead.
-            c.stalled = Some(body);
-            c.shell.phase = ConnPhase::Queued;
-            c.shell.deadline = Some(Instant::now() + d);
-        }
-    }
-}
+impl<S: RecordStore> Handler for WhoisHandler<S> {
+    type Conn = WhoisConn;
+    /// Nothing is produced off the connection's own thread.
+    type Done = Infallible;
 
-/// Accept until `WouldBlock`, applying the per-IP connection cap and
-/// registering survivors with the poller.
-#[cfg(unix)]
-#[allow(clippy::too_many_arguments)]
-fn accept_burst(
-    poller: &Poller,
-    listener: &TcpListener,
-    pool: &BufferPool,
-    limiter: &Mutex<KeyedRateLimiter<IpAddr>>,
-    stats: &ServerStats,
-    lifecycle: &Lifecycle,
-    cfg: &ServerConfig,
-    conns: &mut std::collections::HashMap<u64, EvConn>,
-    next_token: &mut u64,
-) {
-    use std::os::unix::io::AsRawFd;
-    // Accept until WouldBlock (or the listener dies).
-    while let Ok((stream, peer)) = listener.accept() {
-        stats.connections.fetch_add(1, Ordering::Relaxed);
-        if !limiter.lock().try_acquire_conn(&peer.ip(), Instant::now()) {
-            stats.conn_capped.fetch_add(1, Ordering::Relaxed);
-            if cfg.limit_replies_error {
-                let mut stream = stream;
-                let _ = stream.write_all(CONN_CAP_LINE);
+    fn read_timeout(&self) -> Duration {
+        self.cfg.read_timeout
+    }
+
+    fn draining(&self) -> bool {
+        self.lifecycle.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn admit(&self, peer: SocketAddr) -> Result<WhoisConn, Vec<u8>> {
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        let ip = peer.ip();
+        if !self.limiter.lock().try_acquire_conn(&ip, Instant::now()) {
+            self.stats.conn_capped.fetch_add(1, Ordering::Relaxed);
+            return Err(if self.cfg.limit_replies_error {
+                CONN_CAP_LINE.to_vec()
+            } else {
+                Vec::new()
+            });
+        }
+        self.lifecycle.active.fetch_add(1, Ordering::SeqCst);
+        Ok(WhoisConn { ip, stalled: None })
+    }
+
+    fn on_data(&self, conn: &mut WhoisConn, io: &mut Io<'_, Infallible>) -> Step {
+        let query = match proto::decode_query(io.buf) {
+            Ok(Some(query)) => query,
+            Ok(None) => return Step::Continue,
+            Err(_) => return Step::Close, // malformed: hang up
+        };
+        match self.decide(&query, conn.ip) {
+            Outcome::Reply(bytes) => {
+                io.queue(Chunk::Owned(Bytes::from(bytes)));
+                Step::Finish
             }
-            continue;
-        }
-        let token = *next_token;
-        *next_token += 1;
-        match EventConn::new(stream, peer, token, pool.get()) {
-            Ok(mut shell) => {
-                shell.deadline = Some(Instant::now() + cfg.read_timeout);
-                let registered = shell.interest();
-                if poller
-                    .register(shell.stream.as_raw_fd(), token, registered)
-                    .is_ok()
-                {
-                    lifecycle.active.fetch_add(1, Ordering::SeqCst);
-                    conns.insert(
-                        token,
-                        EvConn {
-                            shell,
-                            ip: peer.ip(),
-                            stalled: None,
-                            registered,
-                        },
-                    );
-                } else {
-                    pool.put(shell.take_buf());
-                    limiter.lock().release_conn(&peer.ip());
-                }
+            Outcome::Silent => Step::Close,
+            Outcome::Stall(d, body) => {
+                conn.stalled = Some(body);
+                Step::ParkUntil(Instant::now() + d)
             }
-            Err(_) => limiter.lock().release_conn(&peer.ip()),
         }
     }
-}
 
-/// Tear down one event-loop connection: deregister, recycle its buffer,
-/// release its per-IP slot, and keep the lifecycle gauges in lockstep
-/// with the blocking core's [`ConnectionGuard`].
-#[cfg(unix)]
-fn close_conn(
-    poller: &Poller,
-    pool: &BufferPool,
-    limiter: &Mutex<KeyedRateLimiter<IpAddr>>,
-    lifecycle: &Lifecycle,
-    conn: Option<EvConn>,
-) {
-    use std::os::unix::io::AsRawFd;
-    let Some(mut c) = conn else { return };
-    let _ = poller.deregister(c.shell.stream.as_raw_fd());
-    pool.put(c.shell.take_buf());
-    limiter.lock().release_conn(&c.ip);
-    if lifecycle.shutdown.load(Ordering::SeqCst) {
-        lifecycle.drained.fetch_add(1, Ordering::SeqCst);
+    fn on_completion(
+        &self,
+        _: &mut WhoisConn,
+        done: Infallible,
+        _: &mut Io<'_, Infallible>,
+    ) -> Step {
+        match done {}
     }
-    lifecycle.active.fetch_sub(1, Ordering::SeqCst);
-}
 
-/// Non-unix placeholder: [`Poller::new`] always fails there, so
-/// [`WhoisServer::start`] never reaches this.
-#[cfg(not(unix))]
-#[allow(clippy::too_many_arguments)]
-fn run_event_loop<S: RecordStore>(
-    _poller: Poller,
-    _listener: TcpListener,
-    _store: Arc<S>,
-    _stats: Arc<ServerStats>,
-    _lifecycle: Arc<Lifecycle>,
-    _limiter: Arc<Mutex<KeyedRateLimiter<IpAddr>>>,
-    _injector: Arc<Mutex<FaultInjector>>,
-    _cfg: ServerConfig,
-) {
-    unreachable!("event-loop mode requires epoll; start() falls back to blocking");
+    /// A fault stall fires its held reply; the read deadline closes a
+    /// slowloris connection with an explicit error.
+    fn on_deadline(&self, conn: &mut WhoisConn, io: &mut Io<'_, Infallible>) -> Step {
+        match conn.stalled.take() {
+            Some(body) => io.queue(Chunk::Owned(Bytes::from(body))),
+            None => {
+                self.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
+                io.queue(Chunk::Static(TIMEOUT_LINE));
+            }
+        }
+        Step::Finish
+    }
+
+    /// Release the per-IP slot and settle the lifecycle gauges (a
+    /// connection that outlived the shutdown signal counts as drained).
+    fn on_close(&self, conn: WhoisConn) {
+        self.limiter.lock().release_conn(&conn.ip);
+        if self.lifecycle.shutdown.load(Ordering::SeqCst) {
+            self.lifecycle.drained.fetch_add(1, Ordering::SeqCst);
+        }
+        self.lifecycle.active.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 #[cfg(test)]
@@ -806,6 +405,8 @@ mod tests {
     use super::*;
     use crate::client::WhoisClient;
     use crate::store::InMemoryStore;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
 
     fn store() -> InMemoryStore {
         let mut s = InMemoryStore::new();

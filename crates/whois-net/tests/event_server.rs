@@ -1,11 +1,11 @@
-//! Differential tests: the event-loop serving core against the
-//! blocking thread-per-connection oracle.
+//! Differential tests: the serving core's event driver against its
+//! blocking thread-per-connection reference driver.
 //!
-//! Both cores share one protocol-decision function, but the byte path
-//! around it (readiness loop, pooled buffers, vectored writes, deadline
-//! stalls) is completely different — so these tests drive identical
-//! traffic at both and require byte-identical replies, including under
-//! scripted fault trajectories and arbitrarily fragmented input.
+//! Both drivers run one handler, but the byte path around it (readiness
+//! loop, pooled buffers, vectored writes, deadline stalls) is
+//! completely different — so these tests drive identical traffic at
+//! both and require byte-identical replies, including under scripted
+//! fault trajectories and arbitrarily fragmented input.
 
 use proptest::prelude::*;
 use std::io::{Read, Write};
@@ -107,6 +107,39 @@ fn scripted_fault_trajectories_are_byte_identical_across_modes() {
             .faulted
             .load(std::sync::atomic::Ordering::Relaxed),
         "fault counters diverged"
+    );
+}
+
+#[test]
+fn a_stalled_reply_survives_the_peers_half_close_identically() {
+    // `printf 'q\r\n' | nc`: the peer sends its query and closes its
+    // sending side. It is still owed the reply — including one a fault
+    // stall is holding back — from both drivers.
+    let plan = || {
+        FaultPlan::new().script(
+            "scripted.com",
+            [FateSpec::Stall(Duration::from_millis(300))],
+        )
+    };
+    let replies: Vec<Vec<u8>> = [ServingMode::EventLoop, ServingMode::Blocking]
+        .into_iter()
+        .map(|mode| {
+            let server = start(mode, plan());
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            stream.write_all(b"scripted.com\r\n").unwrap();
+            stream.shutdown(std::net::Shutdown::Write).unwrap();
+            let mut reply = Vec::new();
+            stream.read_to_end(&mut reply).unwrap();
+            reply
+        })
+        .collect();
+    assert_eq!(replies[0], replies[1], "drivers diverged on a half-close");
+    assert_eq!(
+        String::from_utf8_lossy(&replies[0]),
+        "Domain Name: SCRIPTED.COM\nRegistrar: Fault Lab\n"
     );
 }
 

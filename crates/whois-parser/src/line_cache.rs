@@ -16,7 +16,7 @@
 //! capped `p:` word window (needed to annotate a following uncached
 //! line). Emission and edge rows are computed once with exactly the
 //! additions, in exactly the order, of `Crf::score_table_into`
-//! ([`Crf::emission_row_into`] / [`Crf::edge_row_into`]), so a
+//! (`Crf::emission_row_into` / `Crf::edge_row_into`), so a
 //! `ScoreTable` assembled by concatenating cached rows is bit-identical
 //! to the one the uncached path builds — Viterbi then returns the same
 //! path, and the parse output is bit-identical. That equivalence is the
@@ -325,10 +325,10 @@ impl LineCache {
     }
 
     /// Enable the adaptive bypass with a hit-rate `floor` in `[0, 1]`
-    /// (`0.0` keeps it off). When an epoch of [`BYPASS_EPOCH`] lookups
+    /// (`0.0` keeps it off). When an epoch of `BYPASS_EPOCH` lookups
     /// closes with `hit_rate < floor`, [`admit_record`](Self::admit_record)
     /// starts steering records around the cache, still admitting every
-    /// [`BYPASS_PROBE_INTERVAL`]th record so the next epochs keep
+    /// `BYPASS_PROBE_INTERVAL`th record so the next epochs keep
     /// measuring; a probing epoch that clears the floor re-engages the
     /// cache. Bypassed records parse on an uncached tier with identical
     /// output, so this only trades memoization for churn, never
@@ -428,7 +428,7 @@ impl LineCache {
 
     /// Decide whether the next record should go through the cache.
     /// Always true unless the adaptive bypass is engaged; while
-    /// bypassed, every [`BYPASS_PROBE_INTERVAL`]th record still probes
+    /// bypassed, every `BYPASS_PROBE_INTERVAL`th record still probes
     /// the cached path. Engines call this once per record before
     /// choosing a parse path.
     pub fn admit_record(&self) -> bool {

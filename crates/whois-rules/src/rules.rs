@@ -4,7 +4,7 @@
 //! labeler: line-granularity tokens, common separators splitting `title:
 //! value` pairs, contextual headers ("a field title appears alone with the
 //! following block representing the associated value"), and an ordered
-//! table of keyword rules accreted "until [it] was able to completely
+//! table of keyword rules accreted "until \[it\] was able to completely
 //! label the entries in our test corpus".
 //!
 //! For the Figure 2/3 comparison the paper "rolls back" the rule base,

@@ -20,12 +20,13 @@
 //! - **Admission control** ([`queue`], [`service`]): bounded queue,
 //!   explicit `shed` replies under overload, graceful drain on shutdown
 //!   with a [`DrainReport`].
-//! - **Two serving cores** ([`service`]): a nonblocking epoll event
-//!   loop (default) multiplexing every connection on one acceptor
-//!   thread, and the blocking thread-per-connection fallback/oracle —
-//!   byte-identical by construction, selected by [`ServeConfig::mode`].
-//!   Both enforce idle/read deadlines and an optional per-IP
-//!   concurrent-connection cap.
+//! - **One protocol handler on `whois-net`'s serving core**
+//!   ([`service`]): persistent pipelined lines, one parked job per
+//!   connection, inline `STATS`/`HEALTH`/`RETRAIN`, idle/read deadlines
+//!   and an optional per-IP concurrent-connection cap. The core runs
+//!   it on one epoll thread (default) or, as the differential oracle
+//!   and the fallback without epoll, thread-per-connection
+//!   ([`ServeConfig::mode`]).
 //! - **Observability** ([`stats`]): counters and per-stage latency via
 //!   the `STATS` verb; liveness (worker health, contained panics,
 //!   quarantine) via the `HEALTH` verb.

@@ -452,7 +452,7 @@ pub struct RetrainConfig {
     /// rule labeler; records the two disagree on are dropped.
     pub templates: TemplateParser,
     /// Training configuration for refits — defaults to the bounded
-    /// warm-start [`whois_crf::TrainConfig::incremental`] schedule.
+    /// warm-start `whois_crf::TrainConfig::incremental` schedule.
     pub train: ParserConfig,
 }
 

@@ -1,44 +1,41 @@
-//! The parse daemon: acceptor → bounded queue → parse workers.
+//! The parse daemon: serving core → bounded queue → parse workers.
 //!
 //! Request path, in stage order (each stage timed into [`ServeStats`]):
 //!
 //! ```text
-//! connection thread        parse worker
-//! ─────────────────        ────────────────────────────────────
-//! read line                queue_wait (time spent queued)
-//! decode verb              [FETCH only] upstream fetch
-//! admission: try_push ──►  cache lookup (hit → reply as cached)
-//!   full?   shed reply     parse (ParseEngine::parse_one)
-//!   closed? drain reply    serialize + cache insert
-//! write reply line    ◄──  send reply
+//! connection (handler)     parse worker
+//! ────────────────────     ────────────────────────────────────
+//! decode line + verb       queue_wait (time spent queued)
+//! admission: try_push ──►  [FETCH only] upstream fetch
+//!   full?   shed reply     cache lookup (hit → reply as cached)
+//!   closed? drain reply    parse (ParseEngine::parse_one)
+//! park for completion      serialize + cache insert
+//! queue reply line    ◄──  complete
 //! ```
 //!
 //! Admission control is the `try_push`: the queue is capacity-bounded
 //! and never blocks, so under overload clients get an explicit
 //! `{"ok":false,"error":"overloaded","shed":true}` in microseconds
 //! instead of a stalled socket. Shutdown closes the queue: workers
-//! drain what was admitted, connection threads answer everything newer
-//! with a drain reply, and [`ParseService::shutdown`] reports both
-//! counts.
+//! drain what was admitted, connections answer everything newer with a
+//! drain reply, and [`ParseService::shutdown`] reports both counts.
 //!
-//! Two serving cores share that protocol logic (selected by
-//! [`ServeConfig::mode`], byte-identical by construction and by
-//! differential test):
+//! Sockets are not this module's business: `ServiceCtx` is a
+//! [`Handler`] on `whois-net`'s serving core, which runs it through the
+//! event driver (default) or the blocking reference driver
+//! ([`ServeConfig::mode`]) — one protocol implementation, so the two
+//! are byte-identical by construction and by differential test. What
+//! the handler decides:
 //!
-//! * **Event loop** (default): one acceptor thread multiplexes every
-//!   connection through an epoll poller — nonblocking reads into pooled
-//!   buffers, at most one in-flight parse job per connection (which is
-//!   what keeps pipelined replies in request order), completions routed
-//!   back over a channel plus a [`Waker`], vectored writes of shared
-//!   `Arc<String>` reply lines. `STATS`/`HEALTH` stay inline on the
-//!   loop: a liveness probe must answer even when the queue is full.
-//! * **Blocking**: thread-per-connection; retained as the fallback for
-//!   platforms without epoll and as the differential-test oracle.
-//!
-//! Both cores close a connection that fails to deliver a complete line
-//! within `read_timeout` of the previous one (slowloris guard) with an
-//! explicit shed-style reply, and both can cap concurrent connections
-//! per source IP at accept time.
+//! * Lines are persistent and pipelined; at most one queued job is in
+//!   flight per connection (the connection parks until its completion),
+//!   which is what keeps pipelined replies in request order.
+//! * `STATS`/`HEALTH`/`RETRAIN` are answered inline, never queued: a
+//!   liveness probe must answer even when the queue is full.
+//! * A connection that fails to deliver a complete line within
+//!   `read_timeout` of the previous one (slowloris guard) is closed
+//!   with an explicit shed-style reply, and concurrent connections per
+//!   source IP can be capped at accept time.
 
 use crate::cache::{cache_key, ShardedCache};
 use crate::queue::{BoundedQueue, PushError};
@@ -46,20 +43,17 @@ use crate::registry::ModelRegistry;
 use crate::retrain::{RetrainConfig, RetrainHub, RetrainLoop, RetrainSnapshot, Retrainer};
 use crate::stats::{DecodeTierStats, HealthSnapshot, QuarantineEntry, ServeStats, StatsSnapshot};
 use crate::wire::{ParseRequest, Reply, Request};
-use bytes::BytesMut;
-use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use whois_model::RawRecord;
-use whois_net::event::{Poller, Waker};
 use whois_net::proto::{self, ReplyKind};
-use whois_net::{KeyedRateLimiter, RateLimitConfig, ServingMode, WhoisClient};
+use whois_net::serving::{self, Completer, Handler, Io, Serving, Step};
+use whois_net::{Chunk, KeyedRateLimiter, RateLimitConfig, ServingMode, WhoisClient};
 use whois_store::{Compactor, RecordStore};
 
 /// Where `FETCH` requests go: a WHOIS registry plus the referral
@@ -107,8 +101,9 @@ impl StoreTierConfig {
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Which serving core runs accepted connections (event loop by
-    /// default; falls back to blocking where epoll is unavailable).
+    /// Which driver of the serving core runs accepted connections
+    /// (the event driver by default, which falls back to the blocking
+    /// reference driver where epoll is unavailable).
     pub mode: ServingMode,
     /// Optional cap on concurrent connections per source IP, enforced
     /// at accept time; refusals get a shed-style reply.
@@ -183,7 +178,8 @@ pub struct DrainReport {
 struct Job {
     work: Work,
     enqueued: Instant,
-    responder: Responder,
+    /// Routes the finished reply line back to the parked connection.
+    responder: Completer<Arc<String>>,
 }
 
 enum Work {
@@ -191,41 +187,7 @@ enum Work {
     Fetch(String),
 }
 
-/// Where a worker delivers a finished reply: straight back to a blocked
-/// connection thread, or onto the event loop's completion channel (with
-/// a wake so the loop notices mid-`epoll_wait`).
-enum Responder {
-    Sync(channel::Sender<Arc<String>>),
-    Event {
-        token: u64,
-        tx: channel::Sender<(u64, Arc<String>)>,
-        waker: Arc<Waker>,
-    },
-}
-
-impl Responder {
-    fn send(self, reply: Arc<String>) {
-        match self {
-            Responder::Sync(tx) => {
-                let _ = tx.send(reply);
-            }
-            Responder::Event { token, tx, waker } => {
-                let _ = tx.send((token, reply));
-                waker.wake();
-            }
-        }
-    }
-}
-
-/// What event-mode admission decided for one request.
-enum Admission {
-    /// The job was queued; its reply arrives on the completion channel.
-    Queued,
-    /// Answered inline (verbs, errors, sheds): write this now.
-    Immediate(Arc<String>),
-}
-
-/// State shared by the acceptor, connection threads, and workers.
+/// State shared by the serving core's callbacks and the workers.
 struct ServiceCtx {
     cfg: ServeConfig,
     registry: Arc<ModelRegistry>,
@@ -233,10 +195,6 @@ struct ServiceCtx {
     stats: ServeStats,
     queue: BoundedQueue<Job>,
     shutdown: AtomicBool,
-    /// Second-stage shutdown flag for the event loop: set only after
-    /// the workers are joined, so every admitted completion is already
-    /// on the channel when the loop does its final flush and exits.
-    loop_stop: AtomicBool,
     /// Per-IP concurrent-connection cap (rate fields unlimited; only
     /// the conn cap is used).
     limiter: Mutex<KeyedRateLimiter<IpAddr>>,
@@ -254,127 +212,54 @@ struct ServiceCtx {
 }
 
 impl ServiceCtx {
-    /// Serve one already-decoded request, returning the reply line.
-    fn respond(&self, request: Request) -> Arc<String> {
+    /// Serve one already-decoded request: `Some(reply line)` when it
+    /// is answered inline, `None` when it was queued and its reply will
+    /// arrive as the connection's completion.
+    fn respond(&self, request: Request, io: &Io<'_, Arc<String>>) -> Option<Arc<String>> {
         match request {
             Request::Stats => {
                 ServeStats::inc(&self.stats.stats_requests);
-                Arc::new(Reply::stats(self.snapshot()).encode())
+                Some(Arc::new(Reply::stats(self.snapshot()).encode()))
             }
-            // Answered inline on the connection thread, never queued: a
-            // liveness probe must respond even when every parse worker
-            // is wedged or the queue is full.
-            Request::Health => Arc::new(Reply::health(self.health_snapshot()).encode()),
+            // Answered inline, never queued: a liveness probe must
+            // respond even when every parse worker is wedged or the
+            // queue is full.
+            Request::Health => Some(Arc::new(Reply::health(self.health_snapshot()).encode())),
             // Inline for the same reason as HEALTH: drift state must be
             // observable even when the workers are saturated.
-            Request::Retrain => Arc::new(Reply::retrain(self.retrain_snapshot()).encode()),
+            Request::Retrain => Some(Arc::new(Reply::retrain(self.retrain_snapshot()).encode())),
             Request::Parse(req) => {
                 ServeStats::inc(&self.stats.parse_requests);
-                self.submit(Work::Parse(req))
+                self.submit(Work::Parse(req), io)
             }
             Request::Fetch(domain) => {
                 ServeStats::inc(&self.stats.fetch_requests);
                 if self.cfg.upstream.is_none() {
                     ServeStats::inc(&self.stats.errors);
-                    return Arc::new(
-                        Reply::error("no upstream configured for FETCH", false).encode(),
-                    );
-                }
-                self.submit(Work::Fetch(domain))
-            }
-        }
-    }
-
-    /// Admission control: enqueue and wait for the worker's reply, or
-    /// shed immediately.
-    fn submit(&self, work: Work) -> Arc<String> {
-        let (reply_tx, reply_rx) = channel::unbounded();
-        let job = Job {
-            work,
-            enqueued: Instant::now(),
-            responder: Responder::Sync(reply_tx),
-        };
-        match self.queue.try_push(job) {
-            Ok(()) => reply_rx
-                .recv()
-                .unwrap_or_else(|_| Arc::new(Reply::error("worker failed", false).encode())),
-            Err(PushError::Full(_)) => {
-                ServeStats::inc(&self.stats.sheds);
-                Arc::new(Reply::error("overloaded", true).encode())
-            }
-            Err(PushError::Closed(_)) => {
-                ServeStats::inc(&self.stats.sheds);
-                Arc::new(Reply::error("draining", true).encode())
-            }
-        }
-    }
-
-    /// Event-mode twin of [`respond`](Self::respond): identical verb
-    /// logic and reply bytes, but `PARSE`/`FETCH` admission never
-    /// blocks — a queued job's reply arrives via the completion channel.
-    fn respond_event(
-        &self,
-        request: Request,
-        token: u64,
-        done_tx: &channel::Sender<(u64, Arc<String>)>,
-        waker: &Arc<Waker>,
-    ) -> Admission {
-        match request {
-            Request::Stats => {
-                ServeStats::inc(&self.stats.stats_requests);
-                Admission::Immediate(Arc::new(Reply::stats(self.snapshot()).encode()))
-            }
-            Request::Health => {
-                Admission::Immediate(Arc::new(Reply::health(self.health_snapshot()).encode()))
-            }
-            Request::Retrain => {
-                Admission::Immediate(Arc::new(Reply::retrain(self.retrain_snapshot()).encode()))
-            }
-            Request::Parse(req) => {
-                ServeStats::inc(&self.stats.parse_requests);
-                self.submit_event(Work::Parse(req), token, done_tx, waker)
-            }
-            Request::Fetch(domain) => {
-                ServeStats::inc(&self.stats.fetch_requests);
-                if self.cfg.upstream.is_none() {
-                    ServeStats::inc(&self.stats.errors);
-                    return Admission::Immediate(Arc::new(
+                    return Some(Arc::new(
                         Reply::error("no upstream configured for FETCH", false).encode(),
                     ));
                 }
-                self.submit_event(Work::Fetch(domain), token, done_tx, waker)
+                self.submit(Work::Fetch(domain), io)
             }
         }
     }
 
-    /// Nonblocking admission for the event loop.
-    fn submit_event(
-        &self,
-        work: Work,
-        token: u64,
-        done_tx: &channel::Sender<(u64, Arc<String>)>,
-        waker: &Arc<Waker>,
-    ) -> Admission {
+    /// Admission control: enqueue (`None` — the worker completes the
+    /// connection later) or shed immediately. Never blocks.
+    fn submit(&self, work: Work, io: &Io<'_, Arc<String>>) -> Option<Arc<String>> {
         let job = Job {
             work,
             enqueued: Instant::now(),
-            responder: Responder::Event {
-                token,
-                tx: done_tx.clone(),
-                waker: waker.clone(),
-            },
+            responder: io.completer(),
         };
-        match self.queue.try_push(job) {
-            Ok(()) => Admission::Queued,
-            Err(PushError::Full(_)) => {
-                ServeStats::inc(&self.stats.sheds);
-                Admission::Immediate(Arc::new(Reply::error("overloaded", true).encode()))
-            }
-            Err(PushError::Closed(_)) => {
-                ServeStats::inc(&self.stats.sheds);
-                Admission::Immediate(Arc::new(Reply::error("draining", true).encode()))
-            }
-        }
+        let refusal = match self.queue.try_push(job) {
+            Ok(()) => return None,
+            Err(PushError::Full(_)) => "overloaded",
+            Err(PushError::Closed(_)) => "draining",
+        };
+        ServeStats::inc(&self.stats.sheds);
+        Some(Arc::new(Reply::error(refusal, true).encode()))
     }
 
     /// Cache-before-parse: the headline serving optimization. With a
@@ -633,25 +518,12 @@ fn fetch_body(up: &UpstreamConfig, domain: &str) -> Result<String, String> {
     Ok(thin)
 }
 
-/// The shed-style reply written when a connection exceeds the idle /
-/// read deadline (slowloris guard). Shared by both cores so the bytes
-/// match.
-fn idle_timeout_reply() -> String {
-    Reply::error("idle timeout", true).encode()
-}
-
-/// The shed-style reply for connections refused by the per-IP cap.
-fn conn_cap_reply() -> String {
-    Reply::error("too many connections", true).encode()
-}
-
 /// A running parse service bound to a loopback port.
 pub struct ParseService {
     addr: SocketAddr,
     ctx: Arc<ServiceCtx>,
-    /// Wakes the event loop out of `epoll_wait` (event mode only).
-    waker: Option<Arc<Waker>>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
+    /// The serving core's driver thread.
+    serving: Serving,
     worker_threads: Vec<std::thread::JoinHandle<()>>,
     compactor: Option<Compactor>,
     /// The background retrain loop (present when the loop is on).
@@ -672,7 +544,6 @@ impl ParseService {
     ) -> std::io::Result<ParseService> {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let workers = if cfg.workers == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -722,7 +593,6 @@ impl ParseService {
             queue: BoundedQueue::new(cfg.queue_capacity),
             stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
-            loop_stop: AtomicBool::new(false),
             limiter: Mutex::new(
                 KeyedRateLimiter::new(RateLimitConfig::unlimited())
                     .with_conn_cap(cfg.max_conns_per_ip),
@@ -749,29 +619,8 @@ impl ParseService {
             })
             .collect();
 
-        // The event loop needs epoll (and a working waker); quietly
-        // fall back to the blocking core where either is unavailable.
-        let event = match mode {
-            ServingMode::EventLoop => Poller::new().ok().and_then(|poller| {
-                let waker = Waker::new(&poller, WAKER_TOKEN).ok()?;
-                Some((poller, Arc::new(waker)))
-            }),
-            ServingMode::Blocking => None,
-        };
-        let waker = event.as_ref().map(|(_, w)| w.clone());
-
-        let accept_ctx = ctx.clone();
         let name = format!("whois-serve-{}", addr.port());
-        let accept_thread = if let Some((poller, loop_waker)) = event {
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || run_event_loop(poller, loop_waker, listener, accept_ctx))
-        } else {
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(move || run_blocking_accept(listener, accept_ctx))
-        }
-        .expect("spawn accept thread");
+        let serving = serving::serve(listener, ctx.clone(), mode, name)?;
 
         let retrainer = match (&ctx.cfg.retrain, retrain_hub) {
             (Some(rc), Some(hub)) => Some(Arc::new(Retrainer::new(
@@ -791,8 +640,7 @@ impl ParseService {
         Ok(ParseService {
             addr,
             ctx,
-            waker,
-            accept_thread: Some(accept_thread),
+            serving,
             worker_threads,
             compactor,
             retrain_loop,
@@ -857,19 +705,13 @@ impl ParseService {
         for w in self.worker_threads.drain(..) {
             let _ = w.join();
         }
-        // Workers are gone, so every admitted job's completion is now on
-        // the loop's channel. Only then stop the loop: it drains those
-        // completions, flushes what it can, and exits.
-        self.ctx.loop_stop.store(true, Ordering::SeqCst);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-        if let Some(a) = self.accept_thread.take() {
-            let _ = a.join();
-        }
+        // Workers are gone, so every admitted job's completion has been
+        // sent. Only then stop the serving core: the event driver
+        // delivers those completions, flushes what it can, and exits.
+        self.serving.stop();
         // With a disk tier attached, spill the entire hot tier before
         // the process dies — this is what makes the *next* process
-        // start at warm-cache hit rates. Workers and the loop are
+        // start at warm-cache hit rates. Workers and the driver are
         // gone, so the cache is quiescent.
         if let Some(compactor) = self.compactor.take() {
             compactor.stop();
@@ -922,526 +764,160 @@ fn worker_loop(ctx: &ServiceCtx) {
     }
 }
 
-/// Blocking accept loop (legacy core / epoll-less fallback): one thread
-/// per connection, with the same per-IP connection cap the event loop
-/// enforces.
-fn run_blocking_accept(listener: TcpListener, ctx: Arc<ServiceCtx>) {
-    while !ctx.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                let ctx = ctx.clone();
-                std::thread::spawn(move || {
-                    let ip = peer.ip();
-                    if !ctx.limiter.lock().try_acquire_conn(&ip, Instant::now()) {
-                        ServeStats::inc(&ctx.stats.sheds);
-                        let mut stream = stream;
-                        let _ = write_line(&mut stream, &conn_cap_reply());
-                        return;
-                    }
-                    ServeStats::inc(&ctx.stats.conns_open);
-                    ServeStats::inc(&ctx.stats.conns_reading);
-                    let _ = handle_connection(stream, &ctx);
-                    ServeStats::dec(&ctx.stats.conns_reading);
-                    ServeStats::dec(&ctx.stats.conns_open);
-                    ctx.limiter.lock().release_conn(&ip);
-                });
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => break,
-        }
-    }
+/// Which live gauge a connection occupies.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Gauge {
+    Reading,
+    Queued,
+    /// Closing after a final reply (drain shed, idle timeout, framing
+    /// error) that is still being flushed.
+    Writing,
 }
 
-/// Serve one (persistent) connection: loop reading request lines until
-/// EOF, timeout, or shutdown. Entered (and left) with the connection
-/// counted in the `conns_reading` gauge.
-fn handle_connection(mut stream: TcpStream, ctx: &ServiceCtx) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut buf = BytesMut::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    // Slowloris guard: the clock runs from the previous complete line,
-    // so a peer dribbling one byte per read can't hold the thread past
-    // `read_timeout` — each read waits only the *remaining* budget.
-    let mut line_started = Instant::now();
-    loop {
-        let line = loop {
-            match proto::decode_line(&mut buf, ctx.cfg.max_request_len) {
-                Ok(Some(line)) => break line,
-                Ok(None) => {}
-                Err(e) => {
-                    ServeStats::inc(&ctx.stats.errors);
-                    let reply = Reply::error(e.to_string(), false).encode();
-                    let _ = write_line(&mut stream, &reply);
-                    return Ok(());
-                }
-            }
-            let remaining = match ctx.cfg.read_timeout.checked_sub(line_started.elapsed()) {
-                Some(d) if !d.is_zero() => d,
-                _ => return idle_close(&mut stream, ctx),
-            };
-            stream.set_read_timeout(Some(remaining))?;
-            match stream.read(&mut chunk) {
-                Ok(0) => return Ok(()), // client hung up
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return idle_close(&mut stream, ctx)
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        line_started = Instant::now();
-        if line.is_empty() {
-            continue;
-        }
-        ServeStats::inc(&ctx.stats.requests);
-        let decoded = Request::decode(&line);
-        // HEALTH is answered even while draining (with `draining:true`
-        // in the payload) — a probe that gets cut off mid-shutdown
-        // can't tell "draining" from "dead".
-        if ctx.shutdown.load(Ordering::SeqCst) && !matches!(decoded, Ok(Request::Health)) {
-            ServeStats::inc(&ctx.stats.sheds);
-            write_line(&mut stream, &Reply::error("draining", true).encode())?;
-            return Ok(());
-        }
-        let reply = match decoded {
-            Ok(request) => {
-                // Mirror the event loop's gauges: only queued verbs move
-                // the connection out of "reading" (inline verbs answer
-                // without leaving it).
-                let queued_verb = matches!(request, Request::Parse(_) | Request::Fetch(_));
-                if queued_verb {
-                    ServeStats::dec(&ctx.stats.conns_reading);
-                    ServeStats::inc(&ctx.stats.conns_queued);
-                }
-                let reply = ctx.respond(request);
-                if queued_verb {
-                    ServeStats::dec(&ctx.stats.conns_queued);
-                    ServeStats::inc(&ctx.stats.conns_reading);
-                }
-                reply
-            }
-            Err(message) => {
-                ServeStats::inc(&ctx.stats.errors);
-                Arc::new(Reply::error(message, false).encode())
-            }
-        };
-        write_line(&mut stream, &reply)?;
-    }
-}
-
-/// Close a connection that blew its idle/read deadline: count it and
-/// tell the peer why (byte-identical to the event loop's idle close).
-fn idle_close(stream: &mut TcpStream, ctx: &ServiceCtx) -> std::io::Result<()> {
-    ServeStats::inc(&ctx.stats.idle_closed);
-    let _ = write_line(stream, &idle_timeout_reply());
-    Ok(())
-}
-
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")
-}
-
-// ---------------------------------------------------------------------
-// Event-loop core (one thread, epoll readiness).
-// ---------------------------------------------------------------------
-
-/// Poller token for the listening socket.
-const LISTENER_TOKEN: u64 = 0;
-/// Poller token for the cross-thread waker.
-const WAKER_TOKEN: u64 = 1;
-/// First token handed to an accepted connection; tokens are monotonic
-/// and never reused, so a completion for a dead connection misses the
-/// map instead of hitting a stranger.
-const FIRST_CONN_TOKEN: u64 = 2;
-
-#[cfg(unix)]
-use whois_net::event::Event;
-#[cfg(unix)]
-use whois_net::{BufferPool, Chunk, ConnPhase, EventConn, Interest};
-
-/// Per-connection state carried by the event loop on top of the
-/// [`EventConn`] shell.
-#[cfg(unix)]
+/// One connection's protocol state.
 struct SvcConn {
-    shell: EventConn,
     ip: IpAddr,
-    /// The interest currently registered with the poller.
-    registered: Interest,
-    /// The peer half-closed; close once buffered lines are served.
-    eof: bool,
-}
-
-/// Which live gauge a connection in `phase` occupies.
-#[cfg(unix)]
-fn phase_gauge(stats: &ServeStats, phase: ConnPhase) -> &AtomicU64 {
-    match phase {
-        ConnPhase::Reading => &stats.conns_reading,
-        ConnPhase::Queued => &stats.conns_queued,
-        ConnPhase::Writing | ConnPhase::Draining => &stats.conns_writing,
-    }
-}
-
-/// Move a connection between phases, keeping the gauges in lockstep.
-#[cfg(unix)]
-fn set_phase(stats: &ServeStats, shell: &mut EventConn, phase: ConnPhase) {
-    if shell.phase == phase {
-        return;
-    }
-    ServeStats::dec(phase_gauge(stats, shell.phase));
-    ServeStats::inc(phase_gauge(stats, phase));
-    shell.phase = phase;
+    gauge: Gauge,
 }
 
 /// Queue one reply line plus its terminator. `Arc` replies (the cache's
 /// currency) are queued by refcount bump, not copy.
-#[cfg(unix)]
-fn queue_reply_line(shell: &mut EventConn, line: Arc<String>) {
-    shell.queue(Chunk::Shared(line));
-    shell.queue(Chunk::Static(b"\n"));
+fn queue_reply_line(io: &mut Io<'_, Arc<String>>, line: Arc<String>) {
+    io.queue(Chunk::Shared(line));
+    io.queue(Chunk::Static(b"\n"));
 }
 
-/// Decode and serve every complete buffered line (at most one queued
-/// job in flight per connection — that is what keeps pipelined replies
-/// in request order), then flush. Returns `true` when the connection
-/// should close now.
-#[cfg(unix)]
-fn pump(
-    c: &mut SvcConn,
-    ctx: &ServiceCtx,
-    done_tx: &channel::Sender<(u64, Arc<String>)>,
-    waker: &Arc<Waker>,
-) -> bool {
-    while c.shell.phase == ConnPhase::Reading {
-        let line = match proto::decode_line(&mut c.shell.buf, ctx.cfg.max_request_len) {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            Err(e) => {
-                ServeStats::inc(&ctx.stats.errors);
-                queue_reply_line(
-                    &mut c.shell,
-                    Arc::new(Reply::error(e.to_string(), false).encode()),
-                );
-                c.shell.close_after_flush = true;
-                set_phase(&ctx.stats, &mut c.shell, ConnPhase::Draining);
-                break;
-            }
-        };
-        if line.is_empty() {
-            continue;
+impl ServiceCtx {
+    fn gauge(&self, gauge: Gauge) -> &AtomicU64 {
+        match gauge {
+            Gauge::Reading => &self.stats.conns_reading,
+            Gauge::Queued => &self.stats.conns_queued,
+            Gauge::Writing => &self.stats.conns_writing,
         }
-        // A complete line arrived: restart the idle clock.
-        c.shell.deadline = Some(Instant::now() + ctx.cfg.read_timeout);
-        ServeStats::inc(&ctx.stats.requests);
-        let decoded = Request::decode(&line);
-        if ctx.shutdown.load(Ordering::SeqCst) && !matches!(decoded, Ok(Request::Health)) {
-            ServeStats::inc(&ctx.stats.sheds);
-            queue_reply_line(
-                &mut c.shell,
-                Arc::new(Reply::error("draining", true).encode()),
-            );
-            c.shell.close_after_flush = true;
-            set_phase(&ctx.stats, &mut c.shell, ConnPhase::Draining);
-            break;
+    }
+
+    /// Move a connection between gauges, keeping them in lockstep.
+    fn set_gauge(&self, conn: &mut SvcConn, gauge: Gauge) {
+        if conn.gauge != gauge {
+            ServeStats::dec(self.gauge(conn.gauge));
+            ServeStats::inc(self.gauge(gauge));
+            conn.gauge = gauge;
         }
-        match decoded {
-            Ok(request) => match ctx.respond_event(request, c.shell.token, done_tx, waker) {
-                Admission::Queued => {
-                    set_phase(&ctx.stats, &mut c.shell, ConnPhase::Queued);
-                    // The worker owns the clock while the job runs; the
-                    // idle deadline re-arms at completion delivery.
-                    c.shell.deadline = None;
+    }
+
+    /// Queue a last reply line and close once it is flushed.
+    fn finish(&self, conn: &mut SvcConn, io: &mut Io<'_, Arc<String>>, reply: Reply) -> Step {
+        queue_reply_line(io, Arc::new(reply.encode()));
+        self.set_gauge(conn, Gauge::Writing);
+        Step::Finish
+    }
+
+    /// Decode and serve every complete buffered line, stopping at the
+    /// first queued verb: one job in flight per connection is what
+    /// keeps pipelined replies in request order.
+    fn pump(&self, conn: &mut SvcConn, io: &mut Io<'_, Arc<String>>) -> Step {
+        loop {
+            let line = match proto::decode_line(io.buf, self.cfg.max_request_len) {
+                Ok(Some(line)) => line,
+                Ok(None) => return Step::Continue,
+                Err(e) => {
+                    ServeStats::inc(&self.stats.errors);
+                    return self.finish(conn, io, Reply::error(e.to_string(), false));
                 }
-                Admission::Immediate(line) => queue_reply_line(&mut c.shell, line),
-            },
-            Err(message) => {
-                ServeStats::inc(&ctx.stats.errors);
-                queue_reply_line(
-                    &mut c.shell,
-                    Arc::new(Reply::error(message, false).encode()),
-                );
-            }
-        }
-    }
-    let eof_close = c.eof && c.shell.phase == ConnPhase::Reading;
-    match c.shell.flush() {
-        Ok(true) => c.shell.close_after_flush || eof_close,
-        Ok(false) => false,
-        Err(_) => true,
-    }
-}
-
-#[cfg(unix)]
-fn run_event_loop(poller: Poller, waker: Arc<Waker>, listener: TcpListener, ctx: Arc<ServiceCtx>) {
-    use std::os::unix::io::AsRawFd;
-
-    /// Idle poll cap so the shutdown flags are noticed promptly.
-    const POLL_CAP: Duration = Duration::from_millis(5);
-    /// How long the final flush may chase unflushed sockets.
-    const FINAL_FLUSH: Duration = Duration::from_secs(2);
-
-    if poller
-        .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-        .is_err()
-    {
-        // Can't poll the listener: serve blocking rather than not at all.
-        return run_blocking_accept(listener, ctx);
-    }
-    let (done_tx, done_rx) = channel::unbounded::<(u64, Arc<String>)>();
-    let pool = BufferPool::new(1024, 256);
-    let mut conns: std::collections::HashMap<u64, SvcConn> = std::collections::HashMap::new();
-    let mut next_token: u64 = FIRST_CONN_TOKEN;
-    let mut events: Vec<Event> = Vec::new();
-    let mut scratch = vec![0u8; 4096];
-    let mut listening = true;
-
-    loop {
-        if ctx.loop_stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let now = Instant::now();
-        if ctx.shutdown.load(Ordering::SeqCst) && listening {
-            let _ = poller.deregister(listener.as_raw_fd());
-            listening = false;
-        }
-
-        let mut timeout = POLL_CAP;
-        for c in conns.values() {
-            if let Some(d) = c.shell.deadline {
-                timeout = timeout.min(d.saturating_duration_since(now));
-            }
-        }
-        events.clear();
-        if poller.wait(&mut events, Some(timeout)).is_err() {
-            break;
-        }
-
-        for ev in events.iter().copied() {
-            if ev.token == LISTENER_TOKEN {
-                if listening {
-                    accept_burst(&poller, &listener, &pool, &ctx, &mut conns, &mut next_token);
-                }
+            };
+            if line.is_empty() {
                 continue;
             }
-            if ev.token == WAKER_TOKEN {
-                waker.drain();
-                continue;
+            // A complete line arrived: restart the idle clock.
+            io.restart_idle();
+            ServeStats::inc(&self.stats.requests);
+            let decoded = Request::decode(&line);
+            // HEALTH is answered even while draining (with
+            // `draining:true` in the payload) — a probe that gets cut
+            // off mid-shutdown can't tell "draining" from "dead".
+            if self.shutdown.load(Ordering::SeqCst) && !matches!(decoded, Ok(Request::Health)) {
+                ServeStats::inc(&self.stats.sheds);
+                return self.finish(conn, io, Reply::error("draining", true));
             }
-            let (close, fd, reregister) = {
-                let Some(c) = conns.get_mut(&ev.token) else {
-                    continue; // closed earlier in this batch
-                };
-                let mut close = false;
-                if (ev.readable || ev.hangup) && c.shell.phase == ConnPhase::Reading {
-                    match c.shell.fill(&mut scratch) {
-                        Ok(status) => c.eof |= status.eof,
-                        Err(_) => close = true,
+            match decoded {
+                Ok(request) => match self.respond(request, io) {
+                    Some(line) => queue_reply_line(io, line),
+                    None => {
+                        // The worker owns the clock while the job runs;
+                        // the idle clock restarts at its completion.
+                        self.set_gauge(conn, Gauge::Queued);
+                        return Step::ParkForCompletion;
                     }
-                } else if ev.hangup
-                    && c.shell.phase != ConnPhase::Queued
-                    && c.shell.pending_out() == 0
-                {
-                    // Peer went away while we owe it nothing.
-                    close = true;
-                }
-                if !close {
-                    close = pump(c, &ctx, &done_tx, &waker);
-                }
-                conn_verdict(c, close)
-            };
-            if close {
-                close_conn(&poller, &pool, &ctx, conns.remove(&ev.token));
-            } else if let Some(want) = reregister {
-                let _ = poller.reregister(fd, ev.token, want);
-            }
-        }
-
-        // Completions from the parse workers: deliver the reply, re-arm
-        // the idle clock, and drain any pipelined backlog that was
-        // waiting behind the in-flight job.
-        while let Some((token, reply)) = done_rx.try_recv() {
-            let (close, fd, reregister) = {
-                let Some(c) = conns.get_mut(&token) else {
-                    continue; // connection died while its job ran
-                };
-                if c.shell.phase != ConnPhase::Queued {
-                    continue;
-                }
-                set_phase(&ctx.stats, &mut c.shell, ConnPhase::Reading);
-                c.shell.deadline = Some(Instant::now() + ctx.cfg.read_timeout);
-                queue_reply_line(&mut c.shell, reply);
-                let close = pump(c, &ctx, &done_tx, &waker);
-                conn_verdict(c, close)
-            };
-            if close {
-                close_conn(&poller, &pool, &ctx, conns.remove(&token));
-            } else if let Some(want) = reregister {
-                let _ = poller.reregister(fd, token, want);
-            }
-        }
-
-        // Deadline sweep: slowloris connections get an explicit reply
-        // and a close, byte-identical to the blocking core's.
-        let now = Instant::now();
-        let due: Vec<u64> = conns
-            .iter()
-            .filter(|(_, c)| c.shell.deadline.is_some_and(|d| d <= now))
-            .map(|(t, _)| *t)
-            .collect();
-        for token in due {
-            let (close, fd, reregister) = {
-                let c = conns.get_mut(&token).expect("due token is live");
-                c.shell.deadline = None;
-                ServeStats::inc(&ctx.stats.idle_closed);
-                queue_reply_line(&mut c.shell, Arc::new(idle_timeout_reply()));
-                c.shell.close_after_flush = true;
-                set_phase(&ctx.stats, &mut c.shell, ConnPhase::Draining);
-                // done + close_after_flush → close; write error → close
-                let close = c.shell.flush().unwrap_or(true);
-                conn_verdict(c, close)
-            };
-            if close {
-                close_conn(&poller, &pool, &ctx, conns.remove(&token));
-            } else if let Some(want) = reregister {
-                let _ = poller.reregister(fd, token, want);
-            }
-        }
-    }
-
-    // Final drain: `loop_stop` is only set after the workers are
-    // joined, so every admitted job's reply is already on the channel.
-    // Deliver them all, then give sockets a bounded window to flush.
-    while let Some((token, reply)) = done_rx.try_recv() {
-        if let Some(c) = conns.get_mut(&token) {
-            if c.shell.phase == ConnPhase::Queued {
-                set_phase(&ctx.stats, &mut c.shell, ConnPhase::Reading);
-                queue_reply_line(&mut c.shell, reply);
-            }
-        }
-    }
-    let give_up = Instant::now() + FINAL_FLUSH;
-    loop {
-        let done_or_dead: Vec<u64> = conns
-            .iter_mut()
-            .filter_map(|(t, c)| match c.shell.flush() {
-                Ok(true) => Some(*t),
-                Ok(false) => None,
-                Err(_) => Some(*t),
-            })
-            .collect();
-        for token in done_or_dead {
-            close_conn(&poller, &pool, &ctx, conns.remove(&token));
-        }
-        if conns.is_empty() || Instant::now() >= give_up {
-            break;
-        }
-        events.clear();
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(5)));
-    }
-    for (_, c) in conns.drain() {
-        close_conn(&poller, &pool, &ctx, Some(c));
-    }
-}
-
-/// Post-service bookkeeping for one connection inside its borrow:
-/// returns `(close, fd, interest-to-reregister)`.
-#[cfg(unix)]
-fn conn_verdict(c: &mut SvcConn, close: bool) -> (bool, std::os::fd::RawFd, Option<Interest>) {
-    use std::os::unix::io::AsRawFd;
-    let fd = c.shell.stream.as_raw_fd();
-    let want = c.shell.interest();
-    let changed = !close && want != c.registered;
-    if changed {
-        c.registered = want;
-    }
-    (close, fd, changed.then_some(want))
-}
-
-/// Accept until `WouldBlock`, applying the per-IP connection cap and
-/// registering survivors with the poller.
-#[cfg(unix)]
-fn accept_burst(
-    poller: &Poller,
-    listener: &TcpListener,
-    pool: &BufferPool,
-    ctx: &ServiceCtx,
-    conns: &mut std::collections::HashMap<u64, SvcConn>,
-    next_token: &mut u64,
-) {
-    use std::os::unix::io::AsRawFd;
-    // Accept until WouldBlock (or the listener dies).
-    while let Ok((stream, peer)) = listener.accept() {
-        if !ctx
-            .limiter
-            .lock()
-            .try_acquire_conn(&peer.ip(), Instant::now())
-        {
-            // Accepted sockets don't inherit the listener's
-            // nonblocking flag, so the refusal write is safe.
-            ServeStats::inc(&ctx.stats.sheds);
-            let mut stream = stream;
-            let _ = write_line(&mut stream, &conn_cap_reply());
-            continue;
-        }
-        let token = *next_token;
-        *next_token += 1;
-        match EventConn::new(stream, peer, token, pool.get()) {
-            Ok(mut shell) => {
-                shell.deadline = Some(Instant::now() + ctx.cfg.read_timeout);
-                let registered = shell.interest();
-                if poller
-                    .register(shell.stream.as_raw_fd(), token, registered)
-                    .is_ok()
-                {
-                    ServeStats::inc(&ctx.stats.conns_open);
-                    ServeStats::inc(&ctx.stats.conns_reading);
-                    conns.insert(
-                        token,
-                        SvcConn {
-                            shell,
-                            ip: peer.ip(),
-                            registered,
-                            eof: false,
-                        },
-                    );
-                } else {
-                    pool.put(shell.take_buf());
-                    ctx.limiter.lock().release_conn(&peer.ip());
+                },
+                Err(message) => {
+                    ServeStats::inc(&self.stats.errors);
+                    queue_reply_line(io, Arc::new(Reply::error(message, false).encode()));
                 }
             }
-            Err(_) => ctx.limiter.lock().release_conn(&peer.ip()),
         }
     }
 }
 
-/// Tear down one event-loop connection: deregister, recycle its buffer,
-/// release its per-IP slot, settle its gauges.
-#[cfg(unix)]
-fn close_conn(poller: &Poller, pool: &BufferPool, ctx: &ServiceCtx, conn: Option<SvcConn>) {
-    use std::os::unix::io::AsRawFd;
-    let Some(mut c) = conn else { return };
-    let _ = poller.deregister(c.shell.stream.as_raw_fd());
-    pool.put(c.shell.take_buf());
-    ctx.limiter.lock().release_conn(&c.ip);
-    ServeStats::dec(phase_gauge(&ctx.stats, c.shell.phase));
-    ServeStats::dec(&ctx.stats.conns_open);
-}
+impl Handler for ServiceCtx {
+    type Conn = SvcConn;
+    /// A finished reply line from a parse worker.
+    type Done = Arc<String>;
 
-/// Non-unix placeholder: [`Poller::new`] always fails there, so
-/// [`ParseService::start`] never reaches this.
-#[cfg(not(unix))]
-fn run_event_loop(
-    _poller: Poller,
-    _waker: Arc<Waker>,
-    _listener: TcpListener,
-    _ctx: Arc<ServiceCtx>,
-) {
-    unreachable!("event-loop mode requires epoll; start() falls back to blocking");
+    fn read_timeout(&self) -> Duration {
+        self.cfg.read_timeout
+    }
+
+    fn draining(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// The per-IP connection cap; a refusal is a shed-style reply line
+    /// and counts as a shed.
+    fn admit(&self, peer: SocketAddr) -> Result<SvcConn, Vec<u8>> {
+        let ip = peer.ip();
+        if !self.limiter.lock().try_acquire_conn(&ip, Instant::now()) {
+            ServeStats::inc(&self.stats.sheds);
+            let mut refusal = Reply::error("too many connections", true).encode();
+            refusal.push('\n');
+            return Err(refusal.into_bytes());
+        }
+        ServeStats::inc(&self.stats.conns_open);
+        ServeStats::inc(&self.stats.conns_reading);
+        Ok(SvcConn {
+            ip,
+            gauge: Gauge::Reading,
+        })
+    }
+
+    fn on_data(&self, conn: &mut SvcConn, io: &mut Io<'_, Arc<String>>) -> Step {
+        self.pump(conn, io)
+    }
+
+    /// A worker finished this connection's job: deliver the reply,
+    /// restart the idle clock, and serve any pipelined backlog that was
+    /// waiting behind it.
+    fn on_completion(
+        &self,
+        conn: &mut SvcConn,
+        reply: Arc<String>,
+        io: &mut Io<'_, Arc<String>>,
+    ) -> Step {
+        self.set_gauge(conn, Gauge::Reading);
+        io.restart_idle();
+        queue_reply_line(io, reply);
+        self.pump(conn, io)
+    }
+
+    /// The idle clock ran out (slowloris guard): count it and tell the
+    /// peer why before closing.
+    fn on_deadline(&self, conn: &mut SvcConn, io: &mut Io<'_, Arc<String>>) -> Step {
+        ServeStats::inc(&self.stats.idle_closed);
+        self.finish(conn, io, Reply::error("idle timeout", true))
+    }
+
+    fn on_close(&self, conn: SvcConn) {
+        self.limiter.lock().release_conn(&conn.ip);
+        ServeStats::dec(self.gauge(conn.gauge));
+        ServeStats::dec(&self.stats.conns_open);
+    }
 }

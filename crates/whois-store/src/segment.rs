@@ -1,6 +1,6 @@
 //! Segment files: CRC-framed runs of store entries.
 //!
-//! A segment is `"WSS1"` followed by [`frame`](crate::frame)-encoded
+//! A segment is `"WSS1"` followed by [`frame`]-encoded
 //! entries. Each entry payload is:
 //!
 //! ```text

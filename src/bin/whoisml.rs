@@ -10,7 +10,7 @@
 //! whoisml serve       --model model.json [--model-dir models/ --poll-ms 1000]
 //!                     [--port P] [--workers N] [--cache N] [--line-cache N] [--queue N]
 //!                     [--upstream host:port] [--timeout MS]
-//!                     [--mode event|blocking] [--conns-per-ip N]
+//!                     [--conns-per-ip N]
 //!                     [--decode-tier fast|exact] [--no-cache-bypass]
 //!                     [--retrain dir/ [--retrain-window N] [--retrain-threshold F]
 //!                      [--retrain-interval-ms MS] [--retrain-golden N] [--retrain-seed S]]
@@ -37,10 +37,10 @@
 //!   result cache, line-memoization cache (`--line-cache N`, 0 turns it
 //!   off), bounded admission queue, and — with `--model-dir` — hot
 //!   reload of new model versions dropped into the directory.
-//!   `--mode` selects the serving core: `event` (default) multiplexes
-//!   every connection through one epoll event-loop thread; `blocking`
-//!   is the legacy thread-per-connection path. `--conns-per-ip N` caps
-//!   concurrent connections per source IP at accept time.
+//!   Every connection is multiplexed through one epoll event-loop
+//!   thread (thread-per-connection where epoll is unavailable).
+//!   `--conns-per-ip N` caps concurrent connections per source IP at
+//!   accept time.
 //!   `--decode-tier` picks the engine for records that miss (or bypass)
 //!   the line cache: `fast` (default) decodes on the compiled
 //!   pruned/quantized tier with an exact re-decode under the margin
@@ -133,7 +133,7 @@ fn usage_and_exit() -> ! {
          \x20 whoisml serve       --model model.json [--model-dir models/ --poll-ms 1000]\n\
          \x20                     [--port P] [--workers N] [--cache N] [--line-cache N] [--queue N]\n\
          \x20                     [--upstream host:port] [--timeout MS]\n\
-         \x20                     [--mode event|blocking] [--conns-per-ip N]\n\
+         \x20                     [--conns-per-ip N]\n\
          \x20                     [--decode-tier fast|exact] [--no-cache-bypass]\n\
          \x20                     [--store dir/ [--store-cap BYTES]]\n\
          \x20                     [--retrain dir/ [--retrain-window N] [--retrain-threshold F]\n\
@@ -447,13 +447,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         }
         None => None,
     };
-    // --mode picks the serving core: the nonblocking epoll event loop
-    // (default) or the legacy blocking thread-per-connection path.
-    let mode = match flags.get("mode") {
-        None | Some("event") => whoisml::net::ServingMode::EventLoop,
-        Some("blocking") => whoisml::net::ServingMode::Blocking,
-        Some(other) => return Err(format!("bad --mode {other} (expected event|blocking)")),
-    };
     let max_conns_per_ip = flags
         .get("conns-per-ip")
         .map(|v| {
@@ -505,7 +498,6 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     });
     let retrain_enabled = retrain.is_some();
     let mut cfg = ServeConfig {
-        mode,
         max_conns_per_ip,
         workers: flags.get_or("workers", 0),
         queue_capacity: flags.get_or("queue", 64),
@@ -526,17 +518,13 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     eprintln!(
-        "whois-serve: model {} | {} workers | cache {} | line-cache {} (bypass {}) | queue {} | mode {} | decode-tier {} | kernel {} | store {} | retrain {}",
+        "whois-serve: model {} | {} workers | cache {} | line-cache {} (bypass {}) | queue {} | decode-tier {} | kernel {} | store {} | retrain {}",
         registry.current().version,
         service.stats().workers,
         flags.get_or::<usize>("cache", 4096),
         line_cache_capacity,
         if cache_bypass { "on" } else { "off" },
         flags.get_or::<usize>("queue", 64),
-        match mode {
-            whoisml::net::ServingMode::EventLoop => "event",
-            whoisml::net::ServingMode::Blocking => "blocking",
-        },
         registry.decode_tier().name(),
         registry.kernel_level().name(),
         if store_enabled { "on" } else { "off" },
