@@ -114,16 +114,18 @@ impl BatchStats {
     }
 }
 
-/// Which engine decodes records that miss (or bypass) the line cache.
+/// Which engine decodes an engine's records.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DecodeTier {
     /// The `f64` reference engine: tokenize → dictionary → `ScoreTable`
-    /// → Viterbi. Always available; always exact.
+    /// → Viterbi, memoized per line through the engine's [`LineCache`]
+    /// when that is enabled. Always available; always exact.
     #[default]
     Exact,
     /// The compiled fast tier ([`crate::fast`]): pruned/quantized `f32`
     /// SoA weights, fused tokenize-and-score, batched Viterbi over the
-    /// record's unique lines. Low-margin records transparently re-decode
+    /// record's unique lines. Every record takes it and the line cache
+    /// is never consulted. Low-margin records transparently re-decode
     /// on the exact engine, so parse output is byte-identical.
     Fast,
 }
@@ -205,14 +207,15 @@ pub struct ParseEngine {
     /// raised by explicit [`warm`](Self::warm) calls, so concurrent
     /// `parse_one` bursts can't grow the pool without bound.
     pool_cap: AtomicUsize,
-    /// Shared L2 line cache (see [`LineCache`]); disabled caches make
-    /// every parse take the plain uncached path.
+    /// Shared L2 line cache (see [`LineCache`]): the exact tier's memo,
+    /// consulted only when the engine has no fast tier. A disabled cache
+    /// makes every exact parse take the plain uncached path.
     cache: Arc<LineCache>,
     /// The cache generation this engine's entries belong to, captured
     /// at construction (the serve registry bumps the cache's generation
     /// before building the engine for a newly installed model).
     generation: u64,
-    /// Requested decode tier for uncached records.
+    /// Requested decode tier.
     tier: DecodeTier,
     /// The compiled fast tier; `None` when the tier is [`DecodeTier::Exact`]
     /// or the model's feature options fall outside the fast tier's
@@ -259,12 +262,13 @@ impl ParseEngine {
     }
 
     /// [`with_line_cache`](Self::with_line_cache) plus an explicit
-    /// [`DecodeTier`] for records that miss or bypass the cache, and a
-    /// caller-shared [`DecodeCounters`]. Requesting [`DecodeTier::Fast`]
-    /// compiles the model's fast tier at construction; if the model's
-    /// feature options are outside the fast tier's envelope the engine
-    /// silently stays exact ([`fast_tier_active`](Self::fast_tier_active)
-    /// reports the outcome).
+    /// [`DecodeTier`] and a caller-shared [`DecodeCounters`]. Requesting
+    /// [`DecodeTier::Fast`] compiles the model's fast tier at
+    /// construction, and every record then decodes on it without
+    /// touching `cache`; if the model's feature options are outside the
+    /// fast tier's envelope the engine silently stays exact and memoizes
+    /// ([`fast_tier_active`](Self::fast_tier_active) reports the
+    /// outcome).
     pub fn with_decode_tier(
         parser: WhoisParser,
         workers: usize,
@@ -404,16 +408,19 @@ impl ParseEngine {
         }
     }
 
+    /// The routing order: the compiled fast tier whenever the engine
+    /// has one; otherwise the exact engine, memoized through the line
+    /// cache unless that is disabled or bypassing.
     fn parse_into(&self, record: &RawRecord, scratch: &mut ParseScratch) -> ParsedRecord {
-        if self.cache.enabled() && self.cache.admit_record() {
-            return self
-                .parser
-                .parse_cached(record, scratch, &self.cache, self.generation);
-        }
         if let Some(fast) = &self.fast {
             return self
                 .parser
                 .parse_fast(record, scratch, fast, self.guard, &self.counters);
+        }
+        if self.cache.enabled() && self.cache.admit_record() {
+            return self
+                .parser
+                .parse_cached(record, scratch, &self.cache, self.generation);
         }
         self.parser.parse_with(record, scratch)
     }
@@ -427,10 +434,11 @@ impl ParseEngine {
     }
 
     /// [`parse_one`](Self::parse_one) that also exports the per-record
-    /// confidence the serving drift monitor feeds on. Routes around the
-    /// line cache (the memoized path decodes without marginals): the
-    /// fast tier's decode margin when one is active, otherwise the mean
-    /// first-level posterior marginal on the exact engine — see
+    /// confidence the serving drift monitor feeds on: the fast tier's
+    /// decode margin when one is active (the same decode `parse_one`
+    /// runs), otherwise the mean first-level posterior marginal on the
+    /// exact engine, which routes around the line cache (the memoized
+    /// path decodes without marginals) — see
     /// [`WhoisParser::parse_fast_confident`]. The parse output matches
     /// [`parse_one`](Self::parse_one) byte for byte.
     pub fn parse_one_confident(&self, record: &RawRecord) -> (ParsedRecord, f64) {

@@ -6,7 +6,7 @@
 //! here only ever run *within* an already-labeled block — the CRF does
 //! the hard part.
 
-use whois_model::{BlockLabel, Contact, ParsedRecord, RegistrantLabel};
+use whois_model::{BlockLabel, Contact, Label, ParsedRecord, RegistrantLabel};
 use whois_tokenize::split_title_value;
 
 /// Split a `[Title] value` line (the bracketed JP-registry convention,
@@ -18,40 +18,53 @@ fn split_bracketed(line: &str) -> Option<(&str, &str)> {
     Some((&rest[..close], &rest[close + 1..]))
 }
 
+/// One split per line: its trimmed title and value sides. The title is
+/// `""` (and the value the whole trimmed line) when there is neither a
+/// leading `[Title]` nor a separator.
+fn split_line(line: &str) -> (&str, &str) {
+    if let Some((t, v)) = split_bracketed(line) {
+        return (t.trim(), v.trim());
+    }
+    match split_title_value(line) {
+        Some((t, v, _)) => (t.trim(), v.trim()),
+        None => ("", line.trim()),
+    }
+}
+
 /// The value side of a line: text after the first separator (or after a
 /// leading `[Title]`), or the whole trimmed line when there is none.
 pub fn value_of(line: &str) -> &str {
-    if let Some((_, v)) = split_bracketed(line) {
-        return v.trim();
-    }
-    match split_title_value(line) {
-        Some((_, v, _)) => v.trim(),
-        None => line.trim(),
-    }
+    split_line(line).1
 }
 
 /// The title side of a line, lower-cased, or `""` when there is no
 /// separator.
 pub fn title_of(line: &str) -> String {
-    if let Some((t, _)) = split_bracketed(line) {
-        return t.trim().to_lowercase();
-    }
-    match split_title_value(line) {
-        Some((t, _, _)) => t.trim().to_lowercase(),
-        None => String::new(),
-    }
+    split_line(line).0.to_lowercase()
 }
 
-fn title_has(line: &str, words: &[&str]) -> bool {
-    let t = title_of(line);
-    words.iter().any(|w| t.contains(w))
+/// `title` lower-cased into `buf`, which one [`assemble`] call reuses
+/// for every line; ASCII titles (nearly all) skip the Unicode tables.
+fn lower_into<'a>(title: &str, buf: &'a mut String) -> &'a str {
+    buf.clear();
+    if title.is_ascii() {
+        buf.push_str(title);
+        buf.make_ascii_lowercase();
+    } else {
+        buf.push_str(&title.to_lowercase());
+    }
+    buf
+}
+
+fn title_has(title: &str, words: &[&str]) -> bool {
+    words.iter().any(|w| title.contains(w))
 }
 
 /// Word-exact title membership (avoids `"id"` matching inside
 /// `"provider"`).
-fn title_has_word(line: &str, words: &[&str]) -> bool {
-    let t = title_of(line);
-    t.split(|c: char| !c.is_alphanumeric())
+fn title_has_word(title: &str, words: &[&str]) -> bool {
+    title
+        .split(|c: char| !c.is_alphanumeric())
         .any(|tok| words.contains(&tok))
 }
 
@@ -68,38 +81,44 @@ pub fn assemble(
 ) -> ParsedRecord {
     assert_eq!(lines.len(), blocks.len(), "labels must align with lines");
     let mut out = ParsedRecord::new(domain);
+    // Lines bucket per label index and enter `out.blocks` once at the
+    // end: one map insert per block instead of a keyed walk per line.
+    let mut buckets: [Vec<String>; BlockLabel::COUNT] = Default::default();
+    let mut title = String::new();
 
     for (&line, &label) in lines.iter().zip(blocks) {
-        out.push_block_line(label, line);
+        buckets[label.index()].push(line.to_string());
         match label {
             BlockLabel::Registrar => {
-                let v = value_of(line);
+                let (t, v) = split_line(line);
                 if v.is_empty() {
                     continue;
                 }
-                if title_has(line, &["whois", "server"]) && !title_has(line, &["url"]) {
+                let t = lower_into(t, &mut title);
+                if title_has(t, &["whois", "server"]) && !title_has(t, &["url"]) {
                     if out.whois_server.is_none() && v.contains('.') && !v.contains(' ') {
                         out.whois_server = Some(v.to_string());
                     }
-                } else if title_has(line, &["registrar", "sponsor", "provider", "sponsoring"])
-                    && !title_has_word(line, &["id", "url", "abuse", "iana"])
+                } else if title_has(t, &["registrar", "sponsor", "provider", "sponsoring"])
+                    && !title_has_word(t, &["id", "url", "abuse", "iana"])
                     && out.registrar.is_none()
                 {
                     out.registrar = Some(v.to_string());
                 }
             }
             BlockLabel::Domain => {
-                let v = value_of(line);
+                let (t, v) = split_line(line);
                 if v.is_empty() {
                     continue;
                 }
-                if title_has(line, &["server", "nserver", "host", "dns", "nameserver"]) {
+                let t = lower_into(t, &mut title);
+                if title_has(t, &["server", "nserver", "host", "dns", "nameserver"]) {
                     if v.contains('.') && !v.contains(' ') {
                         out.name_servers.push(v.to_lowercase());
                     }
-                } else if title_has(line, &["status"]) {
+                } else if title_has(t, &["status"]) {
                     out.statuses.push(v.to_string());
-                } else if v.contains('.') && !v.contains(' ') && title_of(line).is_empty() {
+                } else if v.contains('.') && !v.contains(' ') && t.is_empty() {
                     // Bare name-server lines under a "Domain servers" header.
                     let lc = v.to_lowercase();
                     if lc.starts_with("ns") || lc.split('.').count() >= 3 {
@@ -108,27 +127,33 @@ pub fn assemble(
                 }
             }
             BlockLabel::Date => {
-                let v = value_of(line);
+                let (t, v) = split_line(line);
                 if v.is_empty() || whois_model::parse_year(v).is_none() {
                     continue;
                 }
+                let t = lower_into(t, &mut title);
                 // Expiry first: "Registrar Registration Expiration Date"
                 // contains "registration" but is an expiry date.
-                if title_has(line, &["expir", "renew", "valid"]) {
+                if title_has(t, &["expir", "renew", "valid"]) {
                     if out.expires.is_none() {
                         out.expires = Some(v.to_string());
                     }
-                } else if title_has(line, &["creat", "registered", "registration", "activat"]) {
+                } else if title_has(t, &["creat", "registered", "registration", "activat"]) {
                     if out.created.is_none() {
                         out.created = Some(v.to_string());
                     }
-                } else if title_has(line, &["updat", "modif", "changed", "touched"])
+                } else if title_has(t, &["updat", "modif", "changed", "touched"])
                     && out.updated.is_none()
                 {
                     out.updated = Some(v.to_string());
                 }
             }
             BlockLabel::Registrant | BlockLabel::Other | BlockLabel::Null => {}
+        }
+    }
+    for (label, bucket) in BlockLabel::ALL.iter().zip(buckets) {
+        if !bucket.is_empty() {
+            out.blocks.insert(label.name().to_string(), bucket);
         }
     }
 

@@ -16,19 +16,20 @@
 //!   batches across crossbeam scoped threads with a [`BatchStats`]
 //!   throughput report, and with zero per-feature allocation at steady
 //!   state.
-//! * [`LineCache`] — cross-record line memoization: WHOIS records are
-//!   rendered from a few thousand registrar templates, so the engine
-//!   memoizes each distinct (line, layout context, previous line)'s
-//!   feature row and CRF potentials in a sharded, generation-versioned
-//!   LRU — parses are bit-identical to the uncached path, repeated
-//!   template lines cost a hash lookup instead of re-tokenization.
+//! * [`LineCache`] — the exact tier's cross-record line memo: WHOIS
+//!   records are rendered from a few thousand registrar templates, so
+//!   an engine without a fast tier memoizes each distinct (line, layout
+//!   context, previous line)'s feature row and CRF potentials in a
+//!   sharded, generation-versioned LRU — parses are bit-identical to
+//!   the uncached path, repeated template lines cost a hash lookup
+//!   instead of re-tokenization.
 //! * [`FastParser`] — the compiled fast decode tier: zero-pruned `f32`
 //!   structure-of-arrays weights probed by feature hash *during*
 //!   tokenization (no strings, no dictionary lookups), per-record
 //!   unique-line interning, and batched Viterbi. Decodes whose margin
 //!   falls under a guard threshold transparently re-run on the exact
-//!   `f64` engine, so engine output is byte-identical either way; the
-//!   engine routes per record via [`DecodeTier`].
+//!   `f64` engine, so engine output is byte-identical either way. An
+//!   engine built with [`DecodeTier::Fast`] decodes every record on it.
 //! * [`inspect`] — model introspection: the top-weight word features per
 //!   label (Table 1) and the top transition-detecting features between
 //!   blocks (Figure 1).

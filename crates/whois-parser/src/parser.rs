@@ -67,11 +67,8 @@ impl WhoisParser {
     }
 
     /// [`parse_with`](Self::parse_with) on the **fast decode tier**:
-    /// both levels decode on `fast`'s pruned `f32` models
-    /// ([`crate::fast`]); a level whose decode margin falls under
-    /// `guard` transparently re-decodes on the exact engine, so the
-    /// output is byte-identical to [`parse_with`](Self::parse_with).
-    /// Each level decode is tallied into `counters`.
+    /// [`parse_fast_confident`](Self::parse_fast_confident) without the
+    /// confidence (the margin it comes from is computed either way).
     pub fn parse_fast(
         &self,
         record: &RawRecord,
@@ -80,35 +77,25 @@ impl WhoisParser {
         guard: f32,
         counters: &DecodeCounters,
     ) -> ParsedRecord {
-        let lines = record.lines();
-        let mut blocks =
-            match fast
-                .first
-                .predict::<BlockLabel>(&record.text, &mut scratch.fast, guard)
-            {
-                Some(b) => {
-                    counters.record(false);
-                    b
-                }
-                None => {
-                    counters.record(true);
-                    self.first.predict_with(&record.text, scratch)
-                }
-            };
-        align_blocks(lines.len(), &mut blocks);
-        let registrant =
-            self.second_level_pass(&lines, &blocks, scratch, Some((fast, guard, counters)));
-        extract::assemble(&record.domain, &lines, &blocks, &registrant)
+        self.parse_fast_confident(record, scratch, fast, guard, counters)
+            .0
     }
 
-    /// [`parse_fast`](Self::parse_fast) that also exports a per-record
-    /// **confidence** in `[0, 1]` for the serving drift monitor. On a
-    /// successful fast first-level decode the confidence is the decode
-    /// margin mapped through `margin / (margin + 1)`; when the margin
-    /// guard forces the exact engine, it is the mean of the first
-    /// level's per-line posterior marginals (eq. 12). Both scales sit
-    /// near 1 on schemas the model knows and sag on drifted ones, which
-    /// is all a sustained-low-confidence detector needs.
+    /// The fast decode tier's one parse body: both levels decode on
+    /// `fast`'s pruned `f32` models ([`crate::fast`]); a level whose
+    /// decode margin falls under `guard` transparently re-decodes on the
+    /// exact engine, so the output is byte-identical to
+    /// [`parse_with`](Self::parse_with). Each level decode is tallied
+    /// into `counters`.
+    ///
+    /// Also exports a per-record **confidence** in `[0, 1]` for the
+    /// serving drift monitor. On a successful fast first-level decode the
+    /// confidence is the decode margin mapped through
+    /// `margin / (margin + 1)`; when the margin guard forces the exact
+    /// engine, it is the mean of the first level's per-line posterior
+    /// marginals (eq. 12). Both scales sit near 1 on schemas the model
+    /// knows and sag on drifted ones, which is all a
+    /// sustained-low-confidence detector needs.
     pub fn parse_fast_confident(
         &self,
         record: &RawRecord,

@@ -1,7 +1,8 @@
 //! Property tests for the fast decode tier's contract: a fast-tier
 //! parse is **byte-identical** to the exact engine's — for any records,
-//! any worker count, with or without a line cache, across model hot
-//! swaps, and under forced margin-guard fallback.
+//! any worker count, whatever line cache the engine was handed (it never
+//! touches it), across model hot swaps, and under forced margin-guard
+//! fallback.
 
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -79,8 +80,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Fast-tier engine output ≡ exact output for any worker count and
-    /// record subset. The cache is disabled so every record takes the
-    /// fast tier.
+    /// record subset.
     #[test]
     fn fast_tier_parse_is_byte_identical(
         workers in 1usize..=4,
@@ -228,22 +228,37 @@ fn exact_tier_engine_reports_inactive_fast_tier() {
     assert_eq!(c.fallback_rate(), 0.0);
 }
 
-/// The adaptive cache bypass preserves byte identity: a cache with an
-/// aggressive floor over low-hit-rate traffic steers records to the
-/// fast tier mid-batch, and the output must not change.
+/// The fast tier is the route, not the fallback: an engine that has one
+/// never consults, fills or bypasses the line cache it was handed —
+/// through `parse_one`, `parse_one_confident` and `parse_batch`, for any
+/// worker count and across a generation bump — and stays byte-identical
+/// to the exact oracle.
 #[test]
-fn bypassing_cache_engine_stays_byte_identical() {
+fn fast_tier_engine_never_touches_its_line_cache() {
     let f = fixture();
-    // Tiny cache + max floor: the bypass engages as soon as the first
-    // epoch closes, whatever the corpus' natural hit rate.
-    let cache = Arc::new(LineCache::new(32, 2).with_bypass_floor(1.0));
-    let engine = fast_engine(&f.model_a, 2, cache.clone());
-    for _ in 0..3 {
-        assert_eq!(engine.parse_batch(&f.raws), f.exact_a);
+    // A live cache with the most eager bypass: under the old routing the
+    // first record would have filled it and the first epoch bypassed it.
+    let cache = Arc::new(LineCache::new(64, 2).with_bypass_floor(1.0));
+    for (generation, model, want) in [(1, &f.model_a, &f.exact_a), (2, &f.model_b, &f.exact_b)] {
+        cache.set_generation(generation);
+        for workers in 1..=3 {
+            let engine = fast_engine(model, workers, cache.clone());
+            assert!(engine.fast_tier_active());
+            assert_eq!(engine.cache_generation(), generation);
+            assert_eq!(&engine.parse_batch(&f.raws), want, "workers = {workers}");
+            for (raw, want) in f.raws.iter().zip(want) {
+                assert_eq!(&engine.parse_one(raw), want);
+                assert_eq!(&engine.parse_one_confident(raw).0, want);
+            }
+            assert!(engine.decode_counters().fast_decodes() > 0);
+        }
     }
     let stats = cache.stats();
-    assert!(
-        stats.bypassed_records > 0,
-        "floor 1.0 should have bypassed something: {stats:?}"
+    assert_eq!(
+        (stats.l1_hits, stats.l2_hits, stats.misses),
+        (0, 0, 0),
+        "{stats:?}"
     );
+    assert_eq!((stats.entries, stats.bypassed_records), (0, 0), "{stats:?}");
+    assert!(!stats.bypass_active);
 }

@@ -60,10 +60,12 @@ pub struct ModelRegistry {
 impl ModelRegistry {
     /// Start with `parser` as generation 1. `engine_workers` is passed
     /// through to the engine for this and every subsequently installed
-    /// model (0 = available parallelism). The line cache is created at
+    /// model (0 = available parallelism). Records decode on the fast
+    /// tier — the serving default — which never touches the line cache;
+    /// that is created (empty, at
     /// [`whois_parser::DEFAULT_LINE_CACHE_CAPACITY`] with the adaptive
-    /// bypass enabled, and uncached records decode on the fast tier —
-    /// the serving defaults.
+    /// bypass enabled) for a model outside the fast tier's envelope,
+    /// whose engine stays exact and memoizes.
     pub fn new(parser: WhoisParser, version: impl Into<String>, engine_workers: usize) -> Self {
         Self::with_line_cache(
             parser,
@@ -74,8 +76,9 @@ impl ModelRegistry {
     }
 
     /// [`new`](Self::new) with a caller-provided line cache — the shared
-    /// L2 every installed model's engine memoizes into. Capacity 0
-    /// disables memoization entirely. Decodes default to the fast tier.
+    /// L2 an installed model's engine memoizes into when it has no fast
+    /// tier. Capacity 0 disables memoization entirely. Decodes default
+    /// to the fast tier.
     pub fn with_line_cache(
         parser: WhoisParser,
         version: impl Into<String>,
@@ -92,10 +95,11 @@ impl ModelRegistry {
     }
 
     /// [`with_line_cache`](Self::with_line_cache) with an explicit
-    /// [`DecodeTier`] for records that miss or bypass the line cache
-    /// (the `--decode-tier` serve flag lands here). Install compiles the
-    /// requested tier for every engine; parse output is byte-identical
-    /// either way.
+    /// [`DecodeTier`] (the `--decode-tier` serve flag lands here):
+    /// `Fast` engines decode every record on the compiled tier, `Exact`
+    /// ones on the f64 engine memoized through `line_cache`. Install
+    /// compiles the requested tier for every engine; parse output is
+    /// byte-identical either way.
     pub fn with_decode_tier(
         parser: WhoisParser,
         version: impl Into<String>,
@@ -152,7 +156,7 @@ impl ModelRegistry {
         self.active.read().clone()
     }
 
-    /// The shared line cache all installed engines memoize into.
+    /// The shared line cache exact-tier engines memoize into.
     pub fn line_cache(&self) -> &Arc<LineCache> {
         &self.line_cache
     }

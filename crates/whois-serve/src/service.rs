@@ -284,8 +284,7 @@ impl ServiceCtx {
 
         // Quarantine check — keyed model-independently (generation 0),
         // so a poison record stays quarantined across model swaps.
-        let body_hash = format!("{body_key:016x}");
-        if self.is_quarantined(domain, &body_hash) {
+        if self.is_quarantined(domain, body_key) {
             ServeStats::inc(&self.stats.errors);
             return Arc::new(
                 Reply::error(
@@ -339,7 +338,7 @@ impl ServiceCtx {
             Err(_) => {
                 ServeStats::inc(&self.stats.panics);
                 ServeStats::inc(&self.stats.errors);
-                self.quarantine_push(domain, body_hash);
+                self.quarantine_push(domain, body_key);
                 return Arc::new(
                     Reply::error("internal: parse panicked; record quarantined", false).encode(),
                 );
@@ -391,26 +390,31 @@ impl ServiceCtx {
         }
     }
 
-    fn is_quarantined(&self, domain: &str, body_hash: &str) -> bool {
-        let domain = domain.to_lowercase();
-        self.quarantine
-            .lock()
-            .iter()
+    /// The ring is empty unless a parse has panicked, so the miss path
+    /// pays one uncontended lock and builds neither string.
+    fn is_quarantined(&self, domain: &str, body_key: u64) -> bool {
+        if self.cfg.quarantine_capacity == 0 {
+            return false;
+        }
+        let ring = self.quarantine.lock();
+        if ring.is_empty() {
+            return false;
+        }
+        let (domain, body_hash) = quarantine_id(domain, body_key);
+        ring.iter()
             .any(|e| e.body_hash == body_hash && e.domain == domain)
     }
 
-    fn quarantine_push(&self, domain: &str, body_hash: String) {
+    fn quarantine_push(&self, domain: &str, body_key: u64) {
         if self.cfg.quarantine_capacity == 0 {
             return;
         }
+        let (domain, body_hash) = quarantine_id(domain, body_key);
         let mut ring = self.quarantine.lock();
         while ring.len() >= self.cfg.quarantine_capacity {
             ring.pop_front();
         }
-        ring.push_back(QuarantineEntry {
-            domain: domain.to_lowercase(),
-            body_hash,
-        });
+        ring.push_back(QuarantineEntry { domain, body_hash });
     }
 
     /// `FETCH`: two-step upstream crawl (thin → referral → thick, thin
@@ -493,6 +497,12 @@ impl ServiceCtx {
             retrain: self.retrain_snapshot(),
         }
     }
+}
+
+/// What a [`QuarantineEntry`] holds for a record: the lower-cased domain
+/// and the generation-free body key in hex.
+fn quarantine_id(domain: &str, body_key: u64) -> (String, String) {
+    (domain.to_lowercase(), format!("{body_key:016x}"))
 }
 
 /// Fetch the best available record body for `domain` from upstream.

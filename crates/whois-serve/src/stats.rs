@@ -389,7 +389,8 @@ pub struct StatsSnapshot {
     pub cache_len: u64,
     /// Parse worker threads.
     pub workers: u64,
-    /// Line-memoization cache counters (hits, misses, evictions).
+    /// Line-memoization cache counters (hits, misses, evictions): the
+    /// exact tier's memo, so all zero under the default fast tier.
     /// `#[serde(default)]` keeps old clients' replies parseable.
     #[serde(default)]
     pub line_cache: LineCacheStats,

@@ -101,6 +101,40 @@ fn transport_noise_hits_the_same_cache_entry() {
     assert_eq!(stats.cache_hits, 1);
 }
 
+/// The default daemon's miss path is the compiled fast tier alone: it
+/// never consults or fills the line cache, which is where the daemon's
+/// memory used to go (~1 KB per memoized line).
+#[test]
+fn misses_decode_on_the_fast_tier_and_leave_the_line_cache_empty() {
+    let corpus = whois_gen::corpus::generate_corpus(whois_gen::corpus::GenConfig::new(43, 200));
+    let service = start_service(1, 16, None);
+    let mut client = ServeClient::connect(service.addr()).unwrap();
+    for d in &corpus {
+        assert!(
+            client
+                .parse(&d.facts.domain, &d.rendered.text())
+                .unwrap()
+                .ok
+        );
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.parses, corpus.len() as u64);
+    assert_eq!(stats.decode.tier, "fast");
+    assert!(stats.decode.fast_decodes > 0, "{:?}", stats.decode);
+    let lines = stats.line_cache;
+    assert_eq!(lines.entries, 0, "{lines:?}");
+    assert_eq!(
+        (
+            lines.l1_hits,
+            lines.l2_hits,
+            lines.misses,
+            lines.bypassed_records
+        ),
+        (0, 0, 0, 0),
+        "{lines:?}"
+    );
+}
+
 /// A registry store whose lookups take a while — stands in for a slow
 /// upstream WHOIS server so the single worker stays busy.
 struct SlowStore {

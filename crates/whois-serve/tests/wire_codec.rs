@@ -8,16 +8,24 @@
 //! writer. The rest pins what the first untrusted byte boundary must
 //! hold — bounded nesting, no half-decoded surrogates or infinities,
 //! and decode time linear in the line.
+//!
+//! `serde_json::to_string` streams (`Serialize::write_json`) where it
+//! used to build a `Value` tree and print that. The tree writer is the
+//! oracle for it: every type this workspace puts on the wire or on disk
+//! must stream the bytes its tree prints.
 
 use proptest::prelude::*;
+use serde::Serialize;
 use serde_json::Value;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use whois_model::{BlockLabel, RegistrantLabel};
-use whois_parser::{ParserConfig, TrainExample, WhoisParser};
+use whois_model::{BlockLabel, Contact, Label, ParsedRecord, RegistrantLabel};
+use whois_parser::{LineCacheStats, ParserConfig, TrainExample, WhoisParser};
 use whois_serve::{
-    ModelRegistry, ParseRequest, ParseService, Reply, Request, ServeClient, ServeConfig,
+    ConnectionGauges, DecodeTierStats, HealthSnapshot, ModelRegistry, ParseRequest, ParseService,
+    QuarantineEntry, Reply, Request, RetrainSnapshot, ServeClient, ServeConfig, StageSnapshot,
+    StatsSnapshot, StoreTierStats,
 };
 
 // ---------------------------------------------------------------------
@@ -237,6 +245,246 @@ proptest! {
             }
             other => prop_assert!(false, "{:?}", other),
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Streamed bytes ≡ tree bytes
+// ---------------------------------------------------------------------
+
+/// What `serde_json::to_string` printed before it streamed.
+fn tree_text<T: Serialize + ?Sized>(x: &T) -> String {
+    serde::json::to_text(&x.to_value(), false)
+}
+
+/// SplitMix64: the snapshot fields below are drawn from one seed.
+fn mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Counters of every magnitude, past `i64::MAX` included (the tree
+/// holds `as i64`, so those print negative on both sides).
+fn count(seed: u64, i: u64) -> u64 {
+    mix(seed, i) >> (mix(seed, !i) % 64)
+}
+
+/// Floats of every printed shape: fractional, integral (no fraction in
+/// the text), signed zero, tiny, huge, and the non-finite ones (`null`).
+fn float(seed: u64, i: u64) -> f64 {
+    match mix(seed, i) % 10 {
+        0 => 0.0,
+        1 => -0.0,
+        2 => (mix(seed, i + 1) % 1000) as f64,
+        3 => 0.1,
+        4 => 1e-17,
+        5 => -2.5e300,
+        6 => f64::NAN,
+        7 => f64::INFINITY,
+        8 => f64::NEG_INFINITY,
+        _ => f64::from_bits(mix(seed, i + 2)),
+    }
+}
+
+fn stage(seed: u64, i: u64) -> StageSnapshot {
+    StageSnapshot {
+        total_us: count(seed, i),
+        count: count(seed, i + 1),
+        mean_us: float(seed, i + 2),
+    }
+}
+
+fn store_tier(seed: u64) -> StoreTierStats {
+    StoreTierStats {
+        enabled: seed.is_multiple_of(2),
+        segments: count(seed, 40),
+        live_bytes: count(seed, 41),
+        dead_bytes: count(seed, 42),
+        spills: count(seed, 43),
+        disk_hits: count(seed, 44),
+        ..Default::default()
+    }
+}
+
+fn retrain_snapshot(seed: u64, text: &str) -> RetrainSnapshot {
+    RetrainSnapshot {
+        enabled: seed.is_multiple_of(3),
+        records_seen: count(seed, 50),
+        window_mean: float(seed, 51),
+        drifting: seed.is_multiple_of(5),
+        queue_len: count(seed, 52),
+        incumbent_accuracy: float(seed, 53),
+        candidate_accuracy: float(seed, 54),
+        last_outcome: text.to_string(),
+        ..Default::default()
+    }
+}
+
+fn stats_snapshot(seed: u64, strings: &[String]) -> StatsSnapshot {
+    let s = |i: usize| strings[i % strings.len()].clone();
+    StatsSnapshot {
+        requests: count(seed, 0),
+        cache_hits: count(seed, 1),
+        cache_hit_rate: float(seed, 2),
+        parses: count(seed, 3),
+        queue_wait: stage(seed, 4),
+        parse: stage(seed, 7),
+        serialize: stage(seed, 10),
+        model_version: s(0),
+        model_generation: count(seed, 13),
+        line_cache: LineCacheStats {
+            capacity: count(seed, 14),
+            misses: count(seed, 15),
+            hit_rate: float(seed, 16),
+            bypass_active: seed.is_multiple_of(7),
+            bypassed_records: count(seed, 17),
+            ..Default::default()
+        },
+        quarantine: (0..seed % 4)
+            .map(|i| QuarantineEntry {
+                domain: s(1 + i as usize),
+                body_hash: format!("{:016x}", mix(seed, 18 + i)),
+            })
+            .collect(),
+        connections: ConnectionGauges {
+            open: count(seed, 22),
+            idle_closed: count(seed, 23),
+            ..Default::default()
+        },
+        decode: DecodeTierStats {
+            tier: s(2),
+            fast_decodes: count(seed, 24),
+            exact_fallbacks: count(seed, 25),
+            fallback_rate: float(seed, 26),
+            kernel: s(3),
+        },
+        store: store_tier(seed),
+        retrain: retrain_snapshot(seed, &s(4)),
+        ..Default::default()
+    }
+}
+
+fn health_snapshot(seed: u64, strings: &[String]) -> HealthSnapshot {
+    let s = |i: usize| strings[i % strings.len()].clone();
+    HealthSnapshot {
+        uptime_ms: count(seed, 30),
+        workers: count(seed, 31),
+        workers_alive: count(seed, 32),
+        model_version: s(0),
+        draining: seed % 2 == 1,
+        decode_tier: s(1),
+        store: store_tier(seed),
+        kernel: s(2),
+        retrain: retrain_snapshot(seed, &s(3)),
+        ..Default::default()
+    }
+}
+
+/// A contact with some fields set, some `None`, and multi-valued ones.
+fn contact(seed: u64, strings: &[String]) -> Contact {
+    let s = |i: u64| strings[(mix(seed, i) % strings.len() as u64) as usize].clone();
+    let some = |i: u64| (!mix(seed, 100 + i).is_multiple_of(3)).then(|| s(i));
+    Contact {
+        name: some(0),
+        org: some(1),
+        street: (0..seed % 3).map(|i| s(2 + i)).collect(),
+        city: some(5),
+        country: some(6),
+        email: some(7),
+        other: (0..seed % 2).map(|i| s(8 + i)).collect(),
+        ..Default::default()
+    }
+}
+
+/// A record in every shape the wire carries: with and without a
+/// registrant, with and without extra contacts, blocks empty or not.
+fn parsed_record(seed: u64, strings: &[String]) -> ParsedRecord {
+    let s = |i: u64| strings[(mix(seed, i) % strings.len() as u64) as usize].clone();
+    let mut record = ParsedRecord::new(s(0));
+    record.registrar = (seed.is_multiple_of(2)).then(|| s(1));
+    record.created = (seed.is_multiple_of(3)).then(|| s(2));
+    record.name_servers = (0..seed % 4).map(|i| s(3 + i)).collect();
+    if seed % 5 < 3 {
+        record.registrant = Some(contact(mix(seed, 7), strings));
+    }
+    for i in 0..seed % 3 {
+        record
+            .contacts
+            .insert(s(10 + i), contact(mix(seed, 8 + i), strings));
+    }
+    for i in 0..seed % 5 {
+        record.blocks.insert(
+            s(20 + i),
+            (0..mix(seed, 30 + i) % 4).map(|j| s(40 + j)).collect(),
+        );
+    }
+    record
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn every_wire_type_streams_the_bytes_its_tree_prints(
+        strings in proptest::collection::vec(any_string(), 1..8),
+        seed in 0u64..u64::MAX,
+    ) {
+        let s = |i: usize| strings[i % strings.len()].clone();
+        let replies = [
+            Reply::record(&s(0), parsed_record(seed, &strings)),
+            Reply::record(&s(1), ParsedRecord::new(s(2))),
+            Reply::stats(stats_snapshot(seed, &strings)),
+            Reply::health(health_snapshot(seed, &strings)),
+            Reply::retrain(retrain_snapshot(seed, &s(3))),
+            Reply::error(s(4), false),
+            Reply::error(s(5), true),
+        ];
+        for reply in &replies {
+            let line = reply.encode();
+            prop_assert_eq!(&line, &tree_text(reply));
+            prop_assert!(!line.contains('\n'), "a reply is one line");
+        }
+        let request = ParseRequest { domain: s(6), text: s(7) };
+        prop_assert_eq!(serde_json::to_string(&request).unwrap(), tree_text(&request));
+        // The payloads on their own, as `whoisml query` prints them.
+        let stats = stats_snapshot(seed, &strings);
+        prop_assert_eq!(serde_json::to_string(&stats).unwrap(), tree_text(&stats));
+        let health = health_snapshot(seed, &strings);
+        prop_assert_eq!(serde_json::to_string(&health).unwrap(), tree_text(&health));
+        let retrain = retrain_snapshot(seed, &s(3));
+        prop_assert_eq!(serde_json::to_string(&retrain).unwrap(), tree_text(&retrain));
+        // Bare strings and the containers around them.
+        prop_assert_eq!(serde_json::to_string(&strings).unwrap(), tree_text(&strings));
+        prop_assert_eq!(serde_json::to_string(s(0).as_str()).unwrap(), oracle_write_string(&s(0)));
+    }
+}
+
+/// The model file: a generic `LevelParser<L>` per level, a skipped
+/// field, `into = "DictionaryRepr"`, `HashMap`s (printed in key order)
+/// and megabytes of floats.
+#[test]
+fn a_trained_model_streams_the_bytes_its_tree_prints() {
+    let parser = train_parser(11, 12);
+    let json = parser.to_json().unwrap();
+    assert_eq!(json, tree_text(&parser));
+    assert_eq!(
+        WhoisParser::from_json(&json).unwrap().to_json().unwrap(),
+        json
+    );
+    // Every label enum by name, and a generated record's parse.
+    assert_eq!(
+        serde_json::to_string(BlockLabel::ALL).unwrap(),
+        tree_text(BlockLabel::ALL)
+    );
+    assert_eq!(
+        serde_json::to_string(RegistrantLabel::ALL).unwrap(),
+        tree_text(RegistrantLabel::ALL)
+    );
+    for d in whois_gen::corpus::generate_corpus(whois_gen::corpus::GenConfig::new(5, 40)) {
+        let reply = Reply::record("model-0001", parser.parse(&d.raw()));
+        assert_eq!(reply.encode(), tree_text(&reply));
     }
 }
 

@@ -8,10 +8,10 @@
 //! whoisml label       --model model.json [--input record.txt]
 //! whoisml inspect     --model model.json
 //! whoisml serve       --model model.json [--model-dir models/ --poll-ms 1000]
-//!                     [--port P] [--workers N] [--cache N] [--line-cache N] [--queue N]
+//!                     [--port P] [--workers N] [--cache N] [--queue N]
 //!                     [--upstream host:port] [--timeout MS]
 //!                     [--conns-per-ip N]
-//!                     [--decode-tier fast|exact] [--no-cache-bypass]
+//!                     [--decode-tier fast|exact]
 //!                     [--retrain dir/ [--retrain-window N] [--retrain-threshold F]
 //!                      [--retrain-interval-ms MS] [--retrain-golden N] [--retrain-seed S]]
 //! whoisml query       --addr 127.0.0.1:PORT [--timeout MS]
@@ -34,20 +34,17 @@
 //!   line — the triage view for finding records worth labeling.
 //! * `inspect` dumps the model's heaviest features (Table 1 / Figure 1).
 //! * `serve` runs the long-lived parse daemon (`whois-serve`): sharded
-//!   result cache, line-memoization cache (`--line-cache N`, 0 turns it
-//!   off), bounded admission queue, and — with `--model-dir` — hot
-//!   reload of new model versions dropped into the directory.
+//!   result cache, bounded admission queue, and — with `--model-dir` —
+//!   hot reload of new model versions dropped into the directory.
 //!   Every connection is multiplexed through one epoll event-loop
 //!   thread (thread-per-connection where epoll is unavailable).
 //!   `--conns-per-ip N` caps concurrent connections per source IP at
 //!   accept time.
-//!   `--decode-tier` picks the engine for records that miss (or bypass)
-//!   the line cache: `fast` (default) decodes on the compiled
-//!   pruned/quantized tier with an exact re-decode under the margin
-//!   guard, `exact` always uses the f64 reference engine; output is
-//!   byte-identical either way. The line cache's adaptive bypass (steer
-//!   cache-hostile uniform traffic straight to the decode tier) is on by
-//!   default; `--no-cache-bypass` disables it.
+//!   `--decode-tier` picks the engine for records that miss the result
+//!   cache (and the store): `fast` (default) decodes every one on the
+//!   compiled pruned/quantized tier with an exact re-decode under the
+//!   margin guard, `exact` uses the f64 reference engine, memoized per
+//!   line; output is byte-identical either way.
 //!   `--retrain dir/` switches on the closed continual-learning loop:
 //!   per-record confidence feeds a drift monitor, sustained
 //!   low-confidence records queue crash-safely under `dir/`, and a
@@ -131,10 +128,10 @@ fn usage_and_exit() -> ! {
          \x20 whoisml label       --model model.json [--input record.txt]\n\
          \x20 whoisml inspect     --model model.json [--topk K]\n\
          \x20 whoisml serve       --model model.json [--model-dir models/ --poll-ms 1000]\n\
-         \x20                     [--port P] [--workers N] [--cache N] [--line-cache N] [--queue N]\n\
+         \x20                     [--port P] [--workers N] [--cache N] [--queue N]\n\
          \x20                     [--upstream host:port] [--timeout MS]\n\
          \x20                     [--conns-per-ip N]\n\
-         \x20                     [--decode-tier fast|exact] [--no-cache-bypass]\n\
+         \x20                     [--decode-tier fast|exact]\n\
          \x20                     [--store dir/ [--store-cap BYTES]]\n\
          \x20                     [--retrain dir/ [--retrain-window N] [--retrain-threshold F]\n\
          \x20                      [--retrain-interval-ms MS] [--retrain-golden N] [--retrain-seed S]]\n\
@@ -156,9 +153,8 @@ impl Flags {
         while i < args.len() {
             if let Some(k) = args[i].strip_prefix("--") {
                 // A following `--token` is the next flag, not this one's
-                // value: bare boolean flags (`--no-cache-bypass`) parse
-                // with an empty value instead of swallowing their
-                // neighbor.
+                // value: a bare flag parses with an empty value
+                // instead of swallowing its neighbor.
                 match args.get(i + 1) {
                     Some(v) if !v.starts_with("--") => {
                         pairs.push((k.to_string(), v.clone()));
@@ -378,25 +374,11 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_else(|| "model".into());
 
-    // Line-memoization cache shared by every installed model's engine
-    // (0 disables it); hot swaps invalidate it by generation bump. The
-    // adaptive bypass steers uniform (cache-hostile) traffic straight to
-    // the decode tier; --no-cache-bypass pins every record through the
-    // cache.
-    let line_cache_capacity: usize =
-        flags.get_or("line-cache", whoisml::parser::DEFAULT_LINE_CACHE_CAPACITY);
-    let cache_bypass = flags.get("no-cache-bypass").is_none();
-    let mut line_cache = whoisml::parser::LineCache::new(
-        line_cache_capacity,
-        whoisml::parser::DEFAULT_LINE_CACHE_SHARDS,
-    );
-    if cache_bypass {
-        line_cache = line_cache.with_bypass_floor(whoisml::parser::DEFAULT_BYPASS_FLOOR);
-    }
-    let line_cache = std::sync::Arc::new(line_cache);
-    // --decode-tier picks the engine for uncached records: the compiled
-    // fast tier (default; byte-identical, low-margin records re-decode
-    // exactly) or the f64 exact engine.
+    // --decode-tier picks the engine for records the result cache and
+    // the store miss: the compiled fast tier (default; byte-identical,
+    // low-margin records re-decode exactly) or the f64 exact engine,
+    // which memoizes lines in the line cache below. The fast tier never
+    // touches that cache, and an untouched cache holds no memory.
     let decode_tier = match flags.get("decode-tier") {
         None | Some("fast") => whoisml::parser::DecodeTier::Fast,
         Some("exact") => whoisml::parser::DecodeTier::Exact,
@@ -408,7 +390,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
         parser,
         version,
         1,
-        line_cache,
+        std::sync::Arc::new(
+            whoisml::parser::LineCache::with_default_capacity()
+                .with_bypass_floor(whoisml::parser::DEFAULT_BYPASS_FLOOR),
+        ),
         decode_tier,
     ));
     let watcher = model_dir.map(|dir| {
@@ -518,12 +503,10 @@ fn cmd_serve(flags: &Flags) -> Result<(), String> {
     use std::io::Write as _;
     std::io::stdout().flush().ok();
     eprintln!(
-        "whois-serve: model {} | {} workers | cache {} | line-cache {} (bypass {}) | queue {} | decode-tier {} | kernel {} | store {} | retrain {}",
+        "whois-serve: model {} | {} workers | cache {} | queue {} | decode-tier {} | kernel {} | store {} | retrain {}",
         registry.current().version,
         service.stats().workers,
         flags.get_or::<usize>("cache", 4096),
-        line_cache_capacity,
-        if cache_bypass { "on" } else { "off" },
         flags.get_or::<usize>("queue", 64),
         registry.decode_tier().name(),
         registry.kernel_level().name(),
